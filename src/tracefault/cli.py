@@ -46,6 +46,7 @@ from .model import (
     DOMAINS,
     canonical_json_bytes,
     parse_scenario,
+    parse_trace,
     parse_trace_blind,
     serialize_scenario,
     serialize_trace,
@@ -139,26 +140,27 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _parse_file(path: Path, parse):
+    """``parse`` the file's bytes; a parse error names the file."""
+    try:
+        return parse(path.read_bytes())
+    except TracefaultError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _read_scenarios(directory: Path):
     files = sorted(directory.glob("*.json"))
     if not files:
         raise TracefaultError(f"no scenario files in {directory}")
-    return [parse_scenario(path.read_bytes()) for path in files]
+    return [_parse_file(path, parse_scenario) for path in files]
 
 
 def cmd_analyze(args) -> int:
-    raw = Path(args.trace).read_bytes()
-    head = json.loads(raw.decode("utf-8"))
-    if isinstance(head, dict) and "ground_truth" in head:
-        trace = parse_scenario(raw).trace
-    else:
-        trace = parse_trace_blind(raw)
-    weights = _load_weights(args.weights)
-    config = _load_config(args.feature_config)
+    trace = _parse_file(Path(args.trace), parse_trace)
     diagnosis = rank(
         trace,
-        weights=weights,
-        config=config,
+        weights=_load_weights(args.weights),
+        config=_load_config(args.feature_config),
         max_depth=args.max_depth,
         error_node=args.error_node,
     )
@@ -186,10 +188,7 @@ def cmd_evaluate(args) -> int:
             raise TracefaultError(f"blind evaluation needs {answers_path}")
         answers = json.loads(answers_path.read_text(encoding="utf-8"))
         blind_dir = bench / "blind"
-        traces = [
-            parse_trace_blind(path.read_bytes())
-            for path in sorted(blind_dir.glob("*.json"))
-        ]
+        traces = [_parse_file(p, parse_trace_blind) for p in sorted(blind_dir.glob("*.json"))]
         if not traces:
             raise TracefaultError(f"no blind traces in {blind_dir}")
         units = units_from_blind(traces, answers)
@@ -208,7 +207,6 @@ def cmd_evaluate(args) -> int:
         bootstrap_b=args.bootstrap_b,
         bootstrap_seed=args.bootstrap_seed,
         llm_adapter=adapter,
-        jobs=args.jobs,
         with_ablations=args.ablations,
         with_sweep=args.sweep,
     )
@@ -307,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--bootstrap-b", type=int, default=BOOTSTRAP_DEFAULT_B)
     p_ev.add_argument("--bootstrap-seed", type=int, default=BOOTSTRAP_DEFAULT_SEED)
     p_ev.add_argument("--llm-fixture", default=None, help="replay fixture JSON")
-    p_ev.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_ev.add_argument("--ablations", action="store_true")
     p_ev.add_argument("--sweep", action="store_true")
     p_ev.add_argument("--check", action="store_true", help="exit 1 on threshold failure")

@@ -6,16 +6,19 @@ trace's final step, and the answer is consulted only for scoring. Running
 the blind split of a benchmark therefore produces bit-identical metrics to
 running its annotated form.
 
+Each trace is reduced once to a ``FeatureTable``; the main method, the
+ablations and the sweep all score that table, so features are computed once
+per trace. Aggregation is a deterministic reduce in input order.
+
 Outputs are plain dicts shaped for ``metrics.json`` / ``significance.json``
-/ ``timings.json``, plus a markdown rendering. Scenario evaluation is
-data-parallel; aggregation is a deterministic reduce in input order.
+/ ``timings.json``, plus a markdown rendering.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import pstdev
 
 from .baselines import (
     classify_llm_error,
@@ -25,7 +28,7 @@ from .baselines import (
     random_baseline,
 )
 from .benchgen import GeneratedScenario, make_bench_trace
-from .errors import EmptyBenchmark, MissingAnswers
+from .errors import DegenerateTable, EmptyBenchmark, MissingAnswers
 from .features import FeatureConfig
 from .model import ExecutionTrace
 from .ranking import DEFAULT_MAX_DEPTH, GROUP_ORDER, WeightVector, rank
@@ -40,7 +43,7 @@ from .stats import (
     mcnemar,
     mrr,
 )
-from .weights import SWEEP_POSITION_VALUES
+from .weights import SWEEP_POSITION_VALUES, hit_at_1_by_weights, sweep_rows
 
 MAIN_METHOD = "tracefault"
 HEURISTIC_METHODS = ("random", "first", "last")
@@ -130,27 +133,6 @@ def units_from_blind(blind_traces, answers: dict) -> list[EvalUnit]:
     return units
 
 
-def _analyze_unit(
-    unit: EvalUnit,
-    weights: WeightVector,
-    config: FeatureConfig,
-    max_depth: int,
-) -> tuple[int | None, dict[str, float], int]:
-    """Rank one trace; returns (rank of root, component timings, top step).
-
-    The anchor is the trace's final step in every mode; answers are not
-    consulted here, which is what keeps blind and annotated runs identical.
-    """
-    diagnosis = rank(
-        unit.trace,
-        weights=weights,
-        config=config,
-        max_depth=max_depth,
-        collect_timings=True,
-    )
-    return diagnosis.rank_of(unit.root_cause), diagnosis.timings_ms, diagnosis.top()
-
-
 def _metric_block(ranks, bootstrap_b, bootstrap_seed) -> dict:
     outcomes = [1 if r == 1 else 0 for r in ranks]
     lo, hi = bootstrap_ci(outcomes, b=bootstrap_b, seed=bootstrap_seed)
@@ -199,7 +181,6 @@ def evaluate(
     bootstrap_b: int = BOOTSTRAP_DEFAULT_B,
     bootstrap_seed: int = BOOTSTRAP_DEFAULT_SEED,
     llm_adapter=None,
-    jobs: int = 1,
     with_ablations: bool = False,
     with_sweep: bool = False,
 ) -> dict:
@@ -210,20 +191,21 @@ def evaluate(
     config = config or FeatureConfig()
 
     ranks_by_method: dict[str, list[int | None]] = {}
+    tables = []
     timings: list[dict[str, float]] = []
     llm_errors: dict[str, int] = {}
     llm_fallbacks = 0
 
     for method in methods:
         if method == MAIN_METHOD:
-            worker = lambda u: _analyze_unit(u, weights, config, max_depth)
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    results = list(pool.map(worker, units))
-            else:
-                results = [worker(u) for u in units]
-            ranks_by_method[method] = [r for r, _, _ in results]
-            timings = [t for _, t, _ in results]
+            # Anchored at the final step in every mode; answers are not
+            # consulted, which keeps blind and annotated runs identical.
+            ranks_by_method[method] = []
+            for unit in units:
+                diagnosis = rank(unit.trace, weights, config, max_depth, collect_timings=True)
+                ranks_by_method[method].append(diagnosis.rank_of(unit.root_cause))
+                timings.append(diagnosis.timings_ms)
+                tables.append(diagnosis.table)
         elif method == "random":
             ranks_by_method[method] = [
                 random_baseline(u.trace, eval_seed).rank_of(u.root_cause) for u in units
@@ -261,16 +243,19 @@ def evaluate(
 
     significance = {}
     if MAIN_METHOD in ranks_by_method:
-        main_correct = [1 if r == 1 else 0 for r in ranks_by_method[MAIN_METHOD]]
+        main_correct = [r == 1 for r in ranks_by_method[MAIN_METHOD]]
         for method, ranks in ranks_by_method.items():
             if method == MAIN_METHOD:
                 continue
-            other_correct = [1 if r == 1 else 0 for r in ranks]
-            n11 = sum(1 for a, b in zip(main_correct, other_correct) if a and b)
-            n00 = sum(1 for a, b in zip(main_correct, other_correct) if not a and not b)
-            n01 = sum(1 for a, b in zip(main_correct, other_correct) if a and not b)
-            n10 = sum(1 for a, b in zip(main_correct, other_correct) if not a and b)
-            chi2, p = mcnemar(n01, n10)
+            pairs = list(zip(main_correct, [r == 1 for r in ranks]))
+            n11, n01, n10, n00 = (pairs.count(c) for c in ((1, 1), (1, 0), (0, 1), (0, 0)))
+            try:
+                chi2, p = mcnemar(n01, n10)
+                p_display = format_p_value(p)
+            except DegenerateTable:
+                # Agreement on every scenario is a result, not an error; the
+                # p-value of 1 still fails the --check significance gate.
+                chi2, p, p_display = 0.0, 1.0, "no discordant pairs"
             significance[f"{MAIN_METHOD}_vs_{method}"] = {
                 "n00": n00,
                 "n01": n01,
@@ -278,7 +263,7 @@ def evaluate(
                 "n11": n11,
                 "chi2": chi2,
                 "p_value": p,
-                "p_display": format_p_value(p),
+                "p_display": p_display,
                 "cohens_h": cohens_h(
                     metrics[MAIN_METHOD]["hit_at_1"], metrics[method]["hit_at_1"]
                 ),
@@ -300,22 +285,20 @@ def evaluate(
             "bug_position": _strata_block(units, main_ranks, lambda u: u.bucket),
             "domain": _strata_block(units, main_ranks, lambda u: u.trace.domain),
         }
-        if timings:
-            components = sorted(timings[0])
-            result["component_timings_ms"] = {
-                name: {
-                    "mean": sum(t[name] for t in timings) / len(timings),
-                    "std": _std([t[name] for t in timings]),
-                }
-                for name in components
+        result["component_timings_ms"] = {
+            name: {
+                "mean": sum(t[name] for t in timings) / len(timings),
+                "std": pstdev([t[name] for t in timings]),
             }
+            for name in sorted(timings[0])
+        }
 
     if "llm" in ranks_by_method:
         result["llm_error_analysis"] = dict(sorted(llm_errors.items()))
         result["llm_fallbacks"] = llm_fallbacks
 
     if with_ablations and MAIN_METHOD in ranks_by_method:
-        result["ablations"] = ablation_table(units, config, max_depth)
+        result["ablations"] = ablation_table(units, tables)
         result["ablations"]["full"] = {
             "groups": list(GROUP_ORDER),
             "hit_at_1": metrics[MAIN_METHOD]["hit_at_1"],
@@ -323,48 +306,28 @@ def evaluate(
     if with_sweep and MAIN_METHOD in ranks_by_method:
         result["position_weight_sweep"] = [
             {"w_position": w, "hit_at_1": h}
-            for w, h in sweep_over_units(units, config, max_depth)
+            for w, h in sweep_over_units(units, tables)
         ]
     return result
 
 
-def sweep_over_units(units, config, max_depth, position_values=SWEEP_POSITION_VALUES):
-    rows = []
-    for w_position in position_values:
-        weights = WeightVector.with_position(w_position)
-        ranks = [
-            _analyze_unit(u, weights, config, max_depth)[0] for u in units
-        ]
-        rows.append((w_position, hit_at_k(ranks, 1)))
-    return rows
+def sweep_over_units(units, tables, position_values=SWEEP_POSITION_VALUES):
+    """Hit@1 per position weight, scored from the units' feature tables."""
+    return sweep_rows(tables, [u.root_cause for u in units], position_values)
 
 
-GROUP_LETTERS = {
-    "position": "P",
-    "structure": "S",
-    "content": "C",
-    "flow": "F",
-    "confidence": "E",
-}
+GROUP_LETTERS = dict(zip(GROUP_ORDER, "PSCFE"))
 
 
-def ablation_table(units, config, max_depth) -> dict:
-    """Hit@1 for feature-group subsets (weights renormalized to sum one)."""
-    table: dict = {}
-    for combo in ABLATION_COMBOS:
-        weights = WeightVector.restricted(combo)
-        ranks = [_analyze_unit(u, weights, config, max_depth)[0] for u in units]
-        label = "+".join(GROUP_LETTERS[g] for g in combo)
-        table[label] = {"groups": list(combo), "hit_at_1": hit_at_k(ranks, 1)}
-    return table
-
-
-def _std(values) -> float:
-    n = len(values)
-    if n == 0:
-        return 0.0
-    mean = sum(values) / n
-    return (sum((v - mean) ** 2 for v in values) / n) ** 0.5
+def ablation_table(units, tables) -> dict:
+    """Hit@1 for feature-group subsets (weights renormalized to sum one),
+    scored from the units' feature tables."""
+    points = [WeightVector.restricted(combo) for combo in ABLATION_COMBOS]
+    hits = hit_at_1_by_weights(tables, [u.root_cause for u in units], points)
+    return {
+        "+".join(GROUP_LETTERS[g] for g in combo): {"groups": list(combo), "hit_at_1": hit}
+        for combo, hit in zip(ABLATION_COMBOS, hits)
+    }
 
 
 def run_checks(result: dict, thresholds: dict | None = None) -> list[str]:
@@ -438,7 +401,7 @@ def runtime_bench(
         "components_ms": {
             name: {
                 "mean": sum(vals) / len(vals),
-                "std": _std(vals),
+                "std": pstdev(vals),
             }
             for name, vals in sorted(component_totals.items())
         },

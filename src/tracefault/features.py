@@ -239,8 +239,7 @@ def _words(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-def _count_matches(words: list[str], keywords: tuple[str, ...]) -> int:
-    keyword_set = {k.lower() for k in keywords}
+def _count_matches(words: list[str], keyword_set: frozenset[str]) -> int:
     return sum(1 for w in words if w in keyword_set)
 
 
@@ -275,13 +274,18 @@ def extract_raw(
     var = sum((x - mu) ** 2 for x in output_lengths) / len(output_lengths)
     sigma = math.sqrt(var)
 
+    # Built per call, not cached on the config, whose dict fields are mutable.
+    error_set, uncertainty_set, hedge_set = (
+        frozenset(k.lower() for k in keywords)
+        for keywords in (config.error_keywords, config.uncertainty_keywords, config.hedge_words)
+    )
+    keyword_set = error_set | uncertainty_set
+
     result: dict[int, dict[str, float]] = {}
     for v in members:
         step = trace.step(v)
         out_words = _words(step.output)
-        keyword_count = _count_matches(
-            out_words, config.error_keywords + config.uncertainty_keywords
-        )
+        keyword_count = _count_matches(out_words, keyword_set)
         if sigma > 0:
             anomaly = min(abs(len(step.output) - mu) / (3.0 * sigma), 1.0)
         else:
@@ -295,12 +299,8 @@ def extract_raw(
             "in_degree": (graph.in_degree(v) / max_in) if max_in > 0 else 0.0,
             "betweenness": betw[v],
             "reachability": len(descendants(graph, v)) / n,
-            "error_keywords": float(
-                _count_matches(out_words, config.error_keywords) > 0
-            ),
-            "uncertainty": float(
-                _count_matches(out_words, config.uncertainty_keywords) > 0
-            ),
+            "error_keywords": float(_count_matches(out_words, error_set) > 0),
+            "uncertainty": float(_count_matches(out_words, uncertainty_set) > 0),
             "length_anomaly": anomaly,
             "keyword_density": (keyword_count / len(out_words)) if out_words else 0.0,
             "agent_switch": float(
@@ -309,7 +309,7 @@ def extract_raw(
             "role_criticality": config.role_weight(step.agent),
             "communication": float(step.action_type == "message"),
             "stated_confidence": step.confidence if step.confidence is not None else 0.5,
-            "hedging_score": min(_count_matches(out_words, config.hedge_words) / 10.0, 1.0),
+            "hedging_score": min(_count_matches(out_words, hedge_set) / 10.0, 1.0),
         }
         result[v] = raw
     return result

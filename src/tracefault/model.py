@@ -281,6 +281,13 @@ def parse_trace_blind(data: bytes | str) -> ExecutionTrace:
     return _parse_trace_obj(obj)
 
 
+def parse_trace(data: bytes | str) -> ExecutionTrace:
+    """The trace of an annotated scenario (validated in full) or a blind trace."""
+    if "ground_truth" in _loads(data):
+        return parse_scenario(data).trace
+    return parse_trace_blind(data)
+
+
 def _step_to_obj(step: Step) -> dict:
     obj: dict = {
         "step_id": step.step_id,

@@ -3,15 +3,21 @@
 The final score of a candidate is the weighted sum of its five group scores.
 Candidates sort by descending score; exact ties break toward the earlier
 step, consistent with the root cause being the earliest correctable
-decision. The ranking pipeline (graph build, backtrace, features, sort) is
-pure and deterministic, so traces may be ranked concurrently.
+decision.
+
+Only that last step depends on the weights, so ``feature_table`` reduces a
+trace once (graph, backtrace, features) to a ``FeatureTable`` of candidate
+ids and group scores. ``rank`` builds one and scores it; the diagnosis keeps
+the table, which the evaluation ablations and sweep rescore, as the weight
+grid search does with tables of its own.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .features import FeatureConfig, FeatureVector, compute_features
 from .graph import CausalGraph, backtrace, build_graph
@@ -42,13 +48,7 @@ class WeightVector:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "position": self.position,
-            "structure": self.structure,
-            "content": self.content,
-            "flow": self.flow,
-            "confidence": self.confidence,
-        }
+        return dict(zip(GROUP_ORDER, self.as_tuple()))
 
     def as_tuple(self) -> tuple[float, ...]:
         return (self.position, self.structure, self.content, self.flow, self.confidence)
@@ -65,31 +65,24 @@ class WeightVector:
         total = sum(kept.values())
         if total <= 0:
             raise ValueError("restricted weight set has zero mass")
-        values = {g: (kept[g] / total if g in kept else 0.0) for g in GROUP_ORDER}
-        values.update({g: 0.0 for g in GROUP_ORDER if g not in kept})
-        return WeightVector(**values)
+        return WeightVector(**{g: (kept[g] / total if g in kept else 0.0) for g in GROUP_ORDER})
 
     @staticmethod
     def with_position(w_position: float) -> "WeightVector":
         """Set the position weight, spreading the remainder proportionally
         over the other groups' default ratios."""
-        base = WeightVector()
-        rest = [base.structure, base.content, base.flow, base.confidence]
-        rest_total = sum(rest)
-        scale = (1.0 - w_position) / rest_total
-        return WeightVector(
-            position=w_position,
-            structure=base.structure * scale,
-            content=base.content * scale,
-            flow=base.flow * scale,
-            confidence=base.confidence * scale,
-        )
+        rest = WeightVector().as_tuple()[1:]
+        scale = (1.0 - w_position) / sum(rest)
+        return WeightVector(w_position, *(w * scale for w in rest))
 
 
 def score(group_score_map: dict[str, float], weights: WeightVector) -> float:
-    """Weighted linear combination of the five group scores."""
+    """Weighted sum of the five group scores, added left to right in ``GROUP_ORDER``."""
     w = weights.as_dict()
-    return sum(w[group] * group_score_map[group] for group in GROUP_ORDER)
+    total = 0.0
+    for group in GROUP_ORDER:
+        total += w[group] * group_score_map[group]
+    return total
 
 
 @dataclass(frozen=True)
@@ -111,6 +104,8 @@ class RankedDiagnosis:
     weights: WeightVector
     config_fingerprint: str
     timings_ms: dict[str, float] = field(compare=False, default_factory=dict)
+    # The table the candidates were scored from, to rescore under other weights.
+    table: FeatureTable | None = field(compare=False, repr=False, default=None)
 
     @property
     def candidate_count(self) -> int:
@@ -154,36 +149,108 @@ def rank_candidates(
     weights: WeightVector,
     error_node: int,
     config_fingerprint: str = "",
-    timings_ms: dict[str, float] | None = None,
 ) -> RankedDiagnosis:
-    scored = []
-    for v in sorted(features_by_node):
-        fv = features_by_node[v]
-        total = score(fv.group_scores, weights)
-        contributions = {
-            g: weights.as_dict()[g] * fv.group_scores[g] for g in GROUP_ORDER
-        }
-        scored.append((v, total, fv.group_scores, contributions))
-    # Descending score; earlier step wins ties. Sorting on (-score, step_id)
-    # makes the order total, so input permutations cannot change it.
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    ranked = tuple(
-        RankedCandidate(
-            step_id=v,
-            score=total,
-            group_scores=groups,
-            contributions=contributions,
-            rank=i + 1,
+    return FeatureTable.from_features(
+        trace.scenario_id, error_node, features_by_node, config_fingerprint
+    ).rank(weights)
+
+
+@dataclass(frozen=True)
+class FeatureTable:
+    """One trace reduced to what scoring needs: the anchor, the candidate
+    step ids (ascending) and their k x 5 group scores, columns in
+    ``GROUP_ORDER``. Group scores do not depend on the weights, so a table
+    scores any number of weight vectors without recomputing features.
+    """
+
+    scenario_id: str
+    anchor: int
+    step_ids: tuple[int, ...]
+    groups: np.ndarray
+    config_fingerprint: str
+    timings_ms: dict[str, float] = field(compare=False, default_factory=dict)
+
+    @staticmethod
+    def from_features(scenario_id, anchor, features_by_node, config_fingerprint, timings_ms=None):
+        step_ids = tuple(sorted(features_by_node))
+        rows = [[features_by_node[v].group_scores[g] for g in GROUP_ORDER] for v in step_ids]
+        return FeatureTable(
+            scenario_id, anchor, step_ids, np.array(rows), config_fingerprint, timings_ms or {}
         )
-        for i, (v, total, groups, contributions) in enumerate(scored)
-    )
-    return RankedDiagnosis(
-        scenario_id=trace.scenario_id,
-        error_node_id=error_node,
-        candidates=ranked,
-        weights=weights,
-        config_fingerprint=config_fingerprint,
-        timings_ms=timings_ms or {},
+
+    def weighted_sums(self, weight_rows) -> np.ndarray:
+        """Candidate scores (columns) under each row of an m x 5 weight array,
+        summed left to right in ``GROUP_ORDER`` exactly as ``score`` does (a
+        matmul sums in another order; a last-digit change could flip a tie)."""
+        weight_rows = np.asarray(weight_rows, dtype=np.float64)
+        total = np.zeros((len(weight_rows), len(self.step_ids)))
+        for j in range(len(GROUP_ORDER)):
+            total = total + weight_rows[:, j : j + 1] * self.groups[:, j]
+        return total
+
+    def tops(self, weight_rows) -> np.ndarray:
+        """Top-ranked step under each weight row. ``argmax`` keeps the first
+        maximum, and step ids ascend, so exact ties go to the earlier step."""
+        return np.asarray(self.step_ids)[self.weighted_sums(weight_rows).argmax(axis=1)]
+
+    def rank(self, weights: WeightVector) -> RankedDiagnosis:
+        start = time.perf_counter()
+        w = weights.as_tuple()
+        totals = self.weighted_sums([w])[0].tolist()
+        # Descending score; earlier step wins ties. Sorting on (-score, step_id)
+        # makes the order total, so input permutations cannot change it.
+        rows = sorted(zip(totals, self.step_ids, self.groups.tolist()), key=lambda r: (-r[0], r[1]))
+        candidates = tuple(
+            RankedCandidate(
+                step_id=v,
+                score=total,
+                group_scores=dict(zip(GROUP_ORDER, groups)),
+                contributions={g: wg * x for g, wg, x in zip(GROUP_ORDER, w, groups)},
+                rank=i + 1,
+            )
+            for i, (total, v, groups) in enumerate(rows)
+        )
+        timings = dict(self.timings_ms)
+        if timings:
+            timings["node_ranking"] = (time.perf_counter() - start) * 1e3
+        return RankedDiagnosis(
+            self.scenario_id, self.anchor, candidates, weights, self.config_fingerprint,
+            timings, table=self,
+        )
+
+
+def feature_table(
+    trace: ExecutionTrace,
+    config: FeatureConfig | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
+    error_node: int | None = None,
+    graph: CausalGraph | None = None,
+    collect_timings: bool = False,
+) -> FeatureTable:
+    """Build the graph, backtrace from the anchor and extract features.
+
+    In blind mode the anchor (error node) defaults to the highest step id
+    (generated benchmarks always manifest the failure at the final step);
+    pass ``error_node`` to override.
+    """
+    config = config or FeatureConfig()
+    anchor = error_node if error_node is not None else len(trace)
+    t0 = time.perf_counter()
+    if graph is None:
+        graph = build_graph(trace)
+    t1 = time.perf_counter()
+    candidates = backtrace(graph, anchor, max_depth)
+    t2 = time.perf_counter()
+    features_by_node = compute_features(trace, graph, candidates.members, anchor, config)
+    t3 = time.perf_counter()
+    timings = {
+        "graph_construction": (t1 - t0) * 1e3,
+        "backward_tracing": (t2 - t1) * 1e3,
+        "feature_extraction": (t3 - t2) * 1e3,
+    }
+    return FeatureTable.from_features(
+        trace.scenario_id, anchor, features_by_node, config.fingerprint(),
+        timings if collect_timings else None,
     )
 
 
@@ -196,49 +263,9 @@ def rank(
     graph: CausalGraph | None = None,
     collect_timings: bool = False,
 ) -> RankedDiagnosis:
-    """Full pipeline: build graph, backtrace, extract features, score, sort.
-
-    In blind mode the error node defaults to the highest step id (generated
-    benchmarks always manifest the failure at the final step); pass
-    ``error_node`` to override.
-    """
-    weights = weights or WeightVector()
-    config = config or FeatureConfig()
-    anchor = error_node if error_node is not None else len(trace)
-
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    if graph is None:
-        graph = build_graph(trace)
-    t1 = time.perf_counter()
-    candidates = backtrace(graph, anchor, max_depth)
-    t2 = time.perf_counter()
-    features_by_node = compute_features(trace, graph, candidates.members, anchor, config)
-    t3 = time.perf_counter()
-    diagnosis = rank_candidates(
-        trace,
-        features_by_node,
-        weights,
-        anchor,
-        config_fingerprint=config.fingerprint(),
-    )
-    t4 = time.perf_counter()
-    if collect_timings:
-        timings = {
-            "graph_construction": (t1 - t0) * 1e3,
-            "backward_tracing": (t2 - t1) * 1e3,
-            "feature_extraction": (t3 - t2) * 1e3,
-            "node_ranking": (t4 - t3) * 1e3,
-        }
-        diagnosis = RankedDiagnosis(
-            scenario_id=diagnosis.scenario_id,
-            error_node_id=diagnosis.error_node_id,
-            candidates=diagnosis.candidates,
-            weights=diagnosis.weights,
-            config_fingerprint=diagnosis.config_fingerprint,
-            timings_ms=timings,
-        )
-    return diagnosis
+    """Full pipeline: build the trace's feature table, then score and sort."""
+    table = feature_table(trace, config, max_depth, error_node, graph, collect_timings)
+    return table.rank(weights or WeightVector())
 
 
 def render_markdown(diagnosis: RankedDiagnosis) -> str:

@@ -2,19 +2,21 @@
 
 The grid is the cartesian product of per-group candidate values filtered to
 combinations summing to one; each feasible point is evaluated by Hit@1 on a
-validation set. Ties break toward the larger position weight, then
-lexicographically, so repeated searches return the same vector.
+validation set, scored from one ``FeatureTable`` per scenario (anchored at
+its annotated error node). Ties break toward the larger position weight,
+then lexicographically, so repeated searches return the same vector.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import EmptyBenchmark, EmptyGrid
 from .features import FeatureConfig
-from .ranking import DEFAULT_MAX_DEPTH, WeightVector, rank
-from .stats import hit_at_k
+from .ranking import DEFAULT_MAX_DEPTH, FeatureTable, WeightVector, feature_table
 
 DEFAULT_GRID = {
     "position": (0.5, 0.6, 0.7, 0.8),
@@ -47,18 +49,30 @@ class GridSpec:
         return points
 
 
-def _ranks_for_weights(scenarios, weights, config, max_depth) -> list[int | None]:
-    ranks: list[int | None] = []
-    for scenario in scenarios:
-        diagnosis = rank(
-            scenario.trace,
-            weights=weights,
-            config=config,
-            max_depth=max_depth,
-            error_node=scenario.ground_truth.error_node_id,
-        )
-        ranks.append(diagnosis.rank_of(scenario.ground_truth.root_cause_node_id))
-    return ranks
+def hit_at_1_by_weights(tables: list[FeatureTable], roots, points) -> list[float]:
+    """Hit@1 of each weight vector in ``points`` over the tables' traces,
+    where ``roots[i]`` is the true root cause of ``tables[i]`` (callers reject
+    an empty set)."""
+    rows = np.array([w.as_tuple() for w in points], dtype=np.float64)
+    hits = np.zeros(len(points), dtype=np.int64)
+    for table, root in zip(tables, roots):
+        hits += table.tops(rows) == root
+    return [int(h) / len(tables) for h in hits]
+
+
+def sweep_rows(tables, roots, position_values=SWEEP_POSITION_VALUES):
+    """(w_position, Hit@1) rows; see ``WeightVector.with_position``."""
+    points = [WeightVector.with_position(w) for w in position_values]
+    return list(zip(position_values, hit_at_1_by_weights(tables, roots, points)))
+
+
+def _scenario_tables(scenarios, config, max_depth):
+    """Tables anchored at each scenario's annotated error node, and the roots."""
+    tables = [
+        feature_table(s.trace, config, max_depth, error_node=s.ground_truth.error_node_id)
+        for s in scenarios
+    ]
+    return tables, [s.ground_truth.root_cause_node_id for s in scenarios]
 
 
 def grid_search(
@@ -72,14 +86,11 @@ def grid_search(
     if not validation:
         raise EmptyBenchmark("grid search requires a non-empty validation set")
     grid = grid or GridSpec()
-    config = config or FeatureConfig()
     points = grid.feasible_points()
     if not points:
         raise EmptyGrid("no weight combination satisfies the sum-to-one constraint")
-    table: list[tuple[WeightVector, float]] = []
-    for weights in points:
-        ranks = _ranks_for_weights(validation, weights, config, max_depth)
-        table.append((weights, hit_at_k(ranks, 1)))
+    tables, roots = _scenario_tables(validation, config, max_depth)
+    table = list(zip(points, hit_at_1_by_weights(tables, roots, points)))
     best = max(
         table,
         key=lambda item: (item[1], item[0].position, item[0].as_tuple()),
@@ -101,13 +112,7 @@ def sensitivity_sweep(
     scenarios = list(scenarios)
     if not scenarios:
         raise EmptyBenchmark("sensitivity sweep over zero scenarios")
-    config = config or FeatureConfig()
-    rows: list[tuple[float, float]] = []
-    for w_position in position_values:
-        weights = WeightVector.with_position(w_position)
-        ranks = _ranks_for_weights(scenarios, weights, config, max_depth)
-        rows.append((w_position, hit_at_k(ranks, 1)))
-    return rows
+    return sweep_rows(*_scenario_tables(scenarios, config, max_depth), position_values)
 
 
 def weights_report(best: WeightVector, table) -> dict:

@@ -12,14 +12,16 @@ from tracefault.evaluation import units_from_scenarios
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+# Not named ``benchmark``: pytest-benchmark owns that fixture name and fails
+# any test whose fixtures include a ``benchmark`` of another type.
 @pytest.fixture(scope="session")
-def benchmark():
+def seed42_benchmark():
     return generate_benchmark(seed=42)
 
 
 @pytest.fixture(scope="session")
-def units(benchmark):
-    return units_from_scenarios(benchmark)
+def units(seed42_benchmark):
+    return units_from_scenarios(seed42_benchmark)
 
 
 def simulated_llm_fixture(benchmark, accuracy=0.66, seed=7) -> dict[str, str]:
@@ -44,8 +46,8 @@ def simulated_llm_fixture(benchmark, accuracy=0.66, seed=7) -> dict[str, str]:
 
 
 @pytest.fixture(scope="session")
-def llm_adapter(benchmark):
-    return FixtureAdapter(simulated_llm_fixture(benchmark))
+def llm_adapter(seed42_benchmark):
+    return FixtureAdapter(simulated_llm_fixture(seed42_benchmark))
 
 
 @pytest.fixture()

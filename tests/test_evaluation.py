@@ -1,0 +1,109 @@
+"""Evaluation scores every weight vector from one feature table per trace."""
+
+import itertools
+
+import pytest
+
+import tracefault.ranking as ranking
+from tracefault.baselines import last_node_baseline
+from tracefault.benchgen import generate_benchmark
+from tracefault.evaluation import ABLATION_COMBOS, evaluate, render_report, run_checks
+from tracefault.features import compute_features
+from tracefault.graph import backtrace, build_graph
+from tracefault.model import DOMAINS
+from tracefault.ranking import WeightVector, feature_table, rank, score
+from tracefault.stats import hit_at_k
+from tracefault.weights import SWEEP_POSITION_VALUES, grid_search
+
+REWEIGHTS = (
+    [WeightVector()]
+    + [WeightVector.restricted(combo) for combo in ABLATION_COMBOS]
+    + [WeightVector.with_position(w) for w in SWEEP_POSITION_VALUES]
+)
+
+
+@pytest.fixture(scope="module")
+def sample(units):
+    return units[::10]  # 55 units spread over every domain and bug position
+
+
+@pytest.fixture()
+def feature_calls(monkeypatch):
+    calls = []
+    original = ranking.compute_features
+
+    def counted(trace, *args, **kwargs):
+        calls.append(trace.scenario_id)
+        return original(trace, *args, **kwargs)
+
+    monkeypatch.setattr(ranking, "compute_features", counted)
+    return calls
+
+
+def test_table_scores_equal_fresh_rank_for_every_weight_vector(sample):
+    for unit in sample:
+        table = feature_table(unit.trace)
+        graph = build_graph(unit.trace)
+        anchor = len(unit.trace)
+        features = compute_features(unit.trace, graph, backtrace(graph, anchor).members, anchor)
+        kept = rank(unit.trace).table
+        for weights in REWEIGHTS:
+            scored = [(c.step_id, c.score) for c in table.rank(weights).candidates]
+            fresh = [(c.step_id, c.score) for c in rank(unit.trace, weights=weights).candidates]
+            assert [(c.step_id, c.score) for c in kept.rank(weights).candidates] == scored
+            oracle = sorted(
+                ((v, score(fv.group_scores, weights)) for v, fv in features.items()),
+                key=lambda item: (-item[1], item[0]),
+            )
+            assert scored == fresh == oracle
+            assert table.tops([weights.as_tuple()])[0] == scored[0][0]
+
+
+def test_evaluate_reweighting_matches_per_weight_rank(sample):
+    result = evaluate(
+        sample, methods=("tracefault",), bootstrap_b=10, with_ablations=True, with_sweep=True
+    )
+
+    def hit1(weights):
+        return hit_at_k([rank(u.trace, weights=weights).rank_of(u.root_cause) for u in sample], 1)
+
+    assert result["methods"]["tracefault"]["hit_at_1"] == hit1(WeightVector())
+    assert len(result["ablations"]) == len(ABLATION_COMBOS) + 1
+    for label, block in result["ablations"].items():
+        weights = WeightVector() if label == "full" else WeightVector.restricted(block["groups"])
+        assert block["hit_at_1"] == hit1(weights), label
+    rows = result["position_weight_sweep"]
+    assert [row["w_position"] for row in rows] == list(SWEEP_POSITION_VALUES)
+    for row in rows:
+        assert row["hit_at_1"] == hit1(WeightVector.with_position(row["w_position"]))
+
+
+def test_features_computed_once_per_unit_under_ablations_and_sweep(sample, feature_calls):
+    evaluate(
+        sample, methods=("tracefault",), bootstrap_b=10, with_ablations=True, with_sweep=True
+    )
+    assert sorted(feature_calls) == sorted(u.trace.scenario_id for u in sample)
+
+
+def test_grid_search_computes_features_once_per_scenario(feature_calls):
+    counts = {domain: 2 for domain in DOMAINS}
+    scenarios = [g.scenario for g in generate_benchmark(seed=2024, counts=counts)]
+    feature_calls.clear()
+    _, table = grid_search(scenarios)
+    assert len(table) == 14
+    assert sorted(feature_calls) == sorted(s.trace.scenario_id for s in scenarios)
+
+
+def test_baseline_agreeing_everywhere_is_reported_not_raised(units):
+    def agrees(unit):
+        main = rank(unit.trace).rank_of(unit.root_cause) == 1
+        last = last_node_baseline(unit.trace, len(unit.trace)).rank_of(unit.root_cause) == 1
+        return main == last
+
+    agreeing = list(itertools.islice(filter(agrees, units), 5))
+    result = evaluate(agreeing, methods=("tracefault", "last"), bootstrap_b=10)
+    sig = result["significance"]["tracefault_vs_last"]
+    assert (sig["n01"], sig["n10"], sig["n00"] + sig["n11"]) == (0, 0, 5)
+    assert (sig["chi2"], sig["p_value"], sig["p_display"]) == (0.0, 1.0, "no discordant pairs")
+    assert any(f.startswith("mcnemar tracefault_vs_last") for f in run_checks(result))
+    assert "no discordant pairs" in render_report(result)
