@@ -15,7 +15,6 @@ set through the ``TRACEFAULT_SEED`` environment variable (flag wins).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -30,7 +29,7 @@ from .benchgen import (
     make_blind,
     verify_ground_truth,
 )
-from .errors import TracefaultError
+from .errors import SchemaViolation, TracefaultError
 from .evaluation import (
     DEFAULT_EVAL_SEED,
     evaluate,
@@ -45,6 +44,7 @@ from .graph import build_graph
 from .model import (
     DOMAINS,
     canonical_json_bytes,
+    load_json_object,
     parse_scenario,
     parse_trace,
     parse_trace_blind,
@@ -88,19 +88,35 @@ def _default_seed(value: int | None) -> int:
     return DEFAULT_SEED
 
 
+def _from_obj(what: str, build, obj):
+    """``build(obj)``, with a missing key or a bad value as a schema error."""
+    try:
+        return build(obj)
+    except KeyError as exc:
+        raise SchemaViolation(f"{what}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaViolation(f"{what}: {exc}") from None
+
+
 def _load_weights(path: str | None) -> WeightVector:
     if path is None:
         return WeightVector()
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    return WeightVector.from_dict(obj.get("best", obj))
+
+    def parse(data: bytes) -> WeightVector:
+        obj = load_json_object(data)
+        return _from_obj("weights", WeightVector.from_dict, obj.get("best", obj))
+
+    return _parse_file(Path(path), parse)
 
 
 def _load_config(path: str | None) -> FeatureConfig:
     if path is None:
         return FeatureConfig()
-    with open(path, "r", encoding="utf-8") as handle:
-        return FeatureConfig.from_obj(json.load(handle))
+
+    def parse(data: bytes) -> FeatureConfig:
+        return _from_obj("feature config", FeatureConfig.from_obj, load_json_object(data))
+
+    return _parse_file(Path(path), parse)
 
 
 def cmd_generate(args) -> int:
@@ -157,16 +173,18 @@ def _read_scenarios(directory: Path):
 
 def cmd_analyze(args) -> int:
     trace = _parse_file(Path(args.trace), parse_trace)
+    graph = build_graph(trace)
     diagnosis = rank(
         trace,
         weights=_load_weights(args.weights),
         config=_load_config(args.feature_config),
         max_depth=args.max_depth,
         error_node=args.error_node,
+        graph=graph,
     )
     report = diagnosis.to_obj()
     if args.dump_graph:
-        report["graph"] = build_graph(trace).to_obj()
+        report["graph"] = graph.to_obj()
     if not args.explain:
         for candidate in report["candidates"]:
             candidate.pop("groups", None)
@@ -186,12 +204,13 @@ def cmd_evaluate(args) -> int:
         answers_path = bench / "answers.json"
         if not answers_path.exists():
             raise TracefaultError(f"blind evaluation needs {answers_path}")
-        answers = json.loads(answers_path.read_text(encoding="utf-8"))
         blind_dir = bench / "blind"
         traces = [_parse_file(p, parse_trace_blind) for p in sorted(blind_dir.glob("*.json"))]
         if not traces:
             raise TracefaultError(f"no blind traces in {blind_dir}")
-        units = units_from_blind(traces, answers)
+        units = _parse_file(
+            answers_path, lambda data: units_from_blind(traces, load_json_object(data))
+        )
     else:
         units = units_from_scenarios(_read_scenarios(bench / "scenarios"))
 

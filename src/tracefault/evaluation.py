@@ -28,7 +28,7 @@ from .baselines import (
     random_baseline,
 )
 from .benchgen import GeneratedScenario, make_bench_trace
-from .errors import DegenerateTable, EmptyBenchmark, MissingAnswers
+from .errors import DegenerateTable, EmptyBenchmark, MissingAnswers, SchemaViolation
 from .features import FeatureConfig
 from .model import ExecutionTrace
 from .ranking import DEFAULT_MAX_DEPTH, GROUP_ORDER, WeightVector, rank
@@ -121,13 +121,23 @@ def units_from_blind(blind_traces, answers: dict) -> list[EvalUnit]:
             raise MissingAnswers(
                 f"no answer key entry for blind id {trace.scenario_id!r}"
             )
+        try:
+            root = int(answer["root_cause_node_id"])
+            error_node = int(answer["error_node_id"])
+            bug_type = str(answer["bug_type"])
+        except KeyError as exc:
+            raise SchemaViolation(
+                f"answer key entry {trace.scenario_id!r}: missing key {exc}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise SchemaViolation(f"answer key entry {trace.scenario_id!r}: {exc}") from None
         units.append(
             EvalUnit(
                 trace=trace,
-                root_cause=int(answer["root_cause_node_id"]),
-                error_node=int(answer["error_node_id"]),
-                bug_type=str(answer["bug_type"]),
-                bucket=_bucket_of(int(answer["root_cause_node_id"])),
+                root_cause=root,
+                error_node=error_node,
+                bug_type=bug_type,
+                bucket=_bucket_of(root),
             )
         )
     return units

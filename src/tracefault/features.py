@@ -267,7 +267,7 @@ def extract_raw(
     max_depth_val = max((depth[v] for v in members), default=0)
     max_out = max((graph.out_degree(v) for v in graph.nodes), default=0)
     max_in = max((graph.in_degree(v) for v in graph.nodes), default=0)
-    betw = betweenness(graph)
+    betw = betweenness(graph, members)
 
     output_lengths = [len(s.output) for s in trace.steps]
     mu = sum(output_lengths) / len(output_lengths)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import NodeNotFound
@@ -117,8 +118,21 @@ def _identifier_tokens(text: str) -> set[str]:
     return {t.lower() for t in _IDENT_RE.findall(text)} - _STOP_WORDS
 
 
+def _artifact_names(declared: tuple[str, ...] | None, text: str) -> set[str]:
+    """The declared names, or the identifiers in ``text`` when none are declared."""
+    if declared is not None:
+        return {name.lower() for name in declared}
+    return _identifier_tokens(text)
+
+
 def build_graph(trace: ExecutionTrace) -> CausalGraph:
-    """Derive the typed causal DAG for a trace (see module docstring)."""
+    """Derive the typed causal DAG for a trace (see module docstring).
+
+    Data edges come from an inverted index, artifact name -> producers,
+    built in step order: each consumer is linked to the earlier producers
+    of the names it consumes, so the cost follows the matches, not the
+    number of step pairs.
+    """
     steps = trace.steps
     n = len(steps)
     edges: list[Edge] = []
@@ -146,23 +160,17 @@ def build_graph(trace: ExecutionTrace) -> CausalGraph:
                 break
 
     # Data: declared artifact overlap, with a text-scan fallback per side.
-    produced: list[set[str]] = []
-    consumed: list[set[str]] = []
+    # Index: name -> producers so far. A step consumes before it produces,
+    # so it only links to earlier producers.
+    producers: dict[str, list[int]] = {}
     for step in steps:
-        if step.produces is not None:
-            produced.append({p.lower() for p in step.produces})
-        else:
-            produced.append(_identifier_tokens(step.output))
-        if step.consumes is not None:
-            consumed.append({c.lower() for c in step.consumes})
-        else:
-            consumed.append(_identifier_tokens(step.input))
-    for i in range(n):
-        if not produced[i]:
-            continue
-        for j in range(i + 1, n):
-            if produced[i] & consumed[j]:
-                edges.append(Edge(steps[i].step_id, steps[j].step_id, "data"))
+        sources: set[int] = set()
+        for name in _artifact_names(step.consumes, step.input):
+            sources.update(producers.get(name, ()))
+        for src in sources:
+            edges.append(Edge(src, step.step_id, "data"))
+        for name in _artifact_names(step.produces, step.output):
+            producers.setdefault(name, []).append(step.step_id)
 
     return CausalGraph.from_edges([s.step_id for s in steps], edges)
 
@@ -272,38 +280,59 @@ def longest_path_depth(graph: CausalGraph, v: int | None = None):
     return depth[v]
 
 
-def betweenness(graph: CausalGraph) -> dict[int, float]:
-    """Directed betweenness: sum over ordered pairs of pass-through ratios.
+def betweenness(graph: CausalGraph, nodes: Iterable[int] | None = None) -> dict[int, float]:
+    """Directed betweenness of ``nodes`` (default: every node).
 
-    Brandes' accumulation over the simple digraph (parallel edge kinds
-    collapse to one adjacency). Values are raw sums; min-max scaling happens
-    downstream in feature normalization.
+    The value of ``v`` is the sum, over ordered pairs ``s -> t`` of other
+    nodes, of the share of shortest ``s -> t`` paths that pass through
+    ``v``; parallel edge kinds collapse to one adjacency. Values are raw
+    sums; min-max scaling happens downstream in feature normalization.
+
+    Brandes' accumulation runs on the reversed graph, one BFS per target
+    ``t`` over ``predecessors``, which yields each node's dependency on
+    ``t``. A pair ``s -> t`` passes through ``v`` only when ``t`` is a
+    descendant of ``v``, so the targets are restricted to the descendants
+    of ``nodes`` and the cost follows the candidates, not the trace. Node
+    ids are a topological order, so one ascending sweep collects them.
     """
-    scores = {v: 0.0 for v in graph.nodes}
-    for source in graph.nodes:
-        # BFS phase: shortest-path counts and predecessor lists.
-        sigma = {v: 0 for v in graph.nodes}
-        dist = {v: -1 for v in graph.nodes}
-        preds: dict[int, list[int]] = {v: [] for v in graph.nodes}
-        sigma[source] = 1
-        dist[source] = 0
+    wanted = graph.nodes if nodes is None else sorted(nodes)
+    for v in wanted:
+        if v not in graph:
+            raise NodeNotFound(f"node {v} not in graph")
+    scores = {v: 0.0 for v in wanted}
+    targets: set[int] = set()
+    for u in graph.nodes:
+        if u in scores or u in targets:
+            targets.update(graph.successors[u])
+    for target in sorted(targets):
+        # BFS phase over reverse edges: path counts and BFS parents, kept
+        # only for the nodes reached (the ancestors of ``target``).
+        sigma = {target: 1}
+        dist = {target: 0}
+        preds: dict[int, list[int]] = {target: []}
         order: list[int] = []
-        queue = deque([source])
+        queue = deque([target])
         while queue:
             v = queue.popleft()
             order.append(v)
-            for w in graph.successors[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
+            next_dist = dist[v] + 1
+            sigma_v = sigma[v]
+            for w in graph.predecessors[v]:
+                dist_w = dist.get(w)
+                if dist_w is None:
+                    dist[w] = next_dist
+                    sigma[w] = sigma_v
+                    preds[w] = [v]
                     queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
+                elif dist_w == next_dist:
+                    sigma[w] += sigma_v
                     preds[w].append(v)
         # Accumulation phase in reverse BFS order.
-        delta = {v: 0.0 for v in order}
+        delta = dict.fromkeys(order, 0.0)
         for w in reversed(order):
+            sigma_w, coeff = sigma[w], 1.0 + delta[w]
             for v in preds[w]:
-                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
-            if w != source:
+                delta[v] += sigma[v] / sigma_w * coeff
+            if w != target and w in scores:
                 scores[w] += delta[w]
     return scores

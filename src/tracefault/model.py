@@ -234,7 +234,8 @@ def _parse_trace_obj(obj: dict, path: str = "") -> ExecutionTrace:
     )
 
 
-def _loads(data: bytes | str) -> dict:
+def load_json_object(data: bytes | str) -> dict:
+    """Decode UTF-8 JSON whose top level must be an object."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -251,7 +252,7 @@ def _loads(data: bytes | str) -> dict:
 
 def parse_scenario(data: bytes | str) -> Scenario:
     """Parse and fully validate an annotated scenario file."""
-    obj = _loads(data)
+    obj = load_json_object(data)
     _reject_extras(obj, _TRACE_REQUIRED + ("ground_truth",), "scenario")
     trace = _parse_trace_obj(obj, "scenario")
     gt_obj = _require(obj, "ground_truth", dict, "scenario")
@@ -271,7 +272,7 @@ def parse_trace_blind(data: bytes | str) -> ExecutionTrace:
     This is the analysis-side entry point: it structurally cannot observe
     labels, which guards evaluation against marker leakage.
     """
-    obj = _loads(data)
+    obj = load_json_object(data)
     if "ground_truth" in obj:
         raise SchemaViolation(
             "blind trace: ground_truth key present; use parse_scenario for "
@@ -283,7 +284,7 @@ def parse_trace_blind(data: bytes | str) -> ExecutionTrace:
 
 def parse_trace(data: bytes | str) -> ExecutionTrace:
     """The trace of an annotated scenario (validated in full) or a blind trace."""
-    if "ground_truth" in _loads(data):
+    if "ground_truth" in load_json_object(data):
         return parse_scenario(data).trace
     return parse_trace_blind(data)
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tracefault import cli, ranking
 from tracefault.cli import main
 
 
@@ -42,3 +43,64 @@ def test_evaluate_rejects_removed_jobs_flag(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", str(tmp_path), "--jobs", "2"])
     assert exc.value.code == 2
+
+
+@pytest.fixture()
+def example1_path(tmp_path, example1_bytes):
+    path = tmp_path / "example1.json"
+    path.write_bytes(example1_bytes)
+    return path
+
+
+def test_analyze_partial_weights_exits_3_naming_the_file(tmp_path, example1_path, capsys):
+    weights = tmp_path / "weights.json"
+    weights.write_text('{"position": 0.7}')
+    assert main(["analyze", str(example1_path), "--weights", str(weights)]) == 3
+    err = capsys.readouterr().err
+    assert str(weights) in err
+    assert "structure" in err
+
+
+@pytest.mark.parametrize("flag", ["--weights", "--feature-config"])
+def test_analyze_truncated_input_json_exits_3_naming_the_file(
+    tmp_path, example1_path, capsys, flag
+):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"position": ')
+    assert main(["analyze", str(example1_path), flag, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "invalid JSON" in err
+
+
+def test_evaluate_blind_answer_without_bug_type_exits_3(tmp_path, example1_bytes, capsys):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
+    assert main(["blind", str(tmp_path)]) == 0
+    answers_path = tmp_path / "answers.json"
+    answers = json.loads(answers_path.read_text())
+    del next(iter(answers.values()))["bug_type"]
+    answers_path.write_text(json.dumps(answers))
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main(["evaluate", str(tmp_path), "--blind", "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert str(answers_path) in err
+    assert "bug_type" in err
+
+
+def test_analyze_dump_graph_builds_the_graph_once(monkeypatch, example1_path, tmp_path):
+    calls = []
+
+    def counting(build):
+        def wrapped(trace):
+            calls.append(trace.scenario_id)
+            return build(trace)
+        return wrapped
+
+    monkeypatch.setattr(cli, "build_graph", counting(cli.build_graph))
+    monkeypatch.setattr(ranking, "build_graph", counting(ranking.build_graph))
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", str(example1_path), "--dump-graph", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["graph"]["nodes"] == [1, 2, 3, 4, 5]

@@ -2,12 +2,16 @@
 
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracefault.errors import NodeNotFound
 from tracefault.graph import (
     CausalGraph,
     Edge,
+    _identifier_tokens,
     backtrace,
     betweenness,
     build_graph,
@@ -225,3 +229,99 @@ def test_graph_dump_shape():
     obj = diamond_graph().to_obj()
     assert obj["nodes"] == [1, 2, 3, 4]
     assert {"from": 1, "to": 2, "kind": "sequential"} in obj["edges"]
+
+
+@st.composite
+def dags_with_nodes(draw):
+    """A random DAG on ids 1..n (edges point to larger ids) and a node subset."""
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [Edge(i, j, "data") for (i, j), kept in zip(pairs, keep) if kept]
+    graph = CausalGraph.from_edges(list(range(1, n + 1)), edges)
+    nodes = draw(st.sets(st.integers(1, n)))
+    return graph, nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_with_nodes())
+def test_betweenness_of_subset_matches_networkx(case):
+    graph, nodes = case
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(graph.nodes)
+    digraph.add_edges_from((e.src, e.dst) for e in graph.edges)
+    expected = nx.betweenness_centrality(digraph, normalized=False)
+    scores = betweenness(graph, nodes)
+    assert set(scores) == nodes
+    for v in nodes:
+        assert math.isclose(scores[v], expected[v], rel_tol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_with_nodes())
+def test_betweenness_of_subset_equals_full_restricted(case):
+    graph, nodes = case
+    full = betweenness(graph)
+    assert betweenness(graph, nodes) == {v: full[v] for v in nodes}
+
+
+def test_betweenness_unknown_node():
+    with pytest.raises(NodeNotFound):
+        betweenness(chain_graph(3), {4})
+
+
+def pairwise_data_edges(trace):
+    """Reference: scan every producer/consumer pair for a shared name."""
+    def names(declared, text):
+        if declared is not None:
+            return {name.lower() for name in declared}
+        return _identifier_tokens(text)
+
+    produced = [names(s.produces, s.output) for s in trace.steps]
+    consumed = [names(s.consumes, s.input) for s in trace.steps]
+    return {
+        (trace.steps[i].step_id, trace.steps[j].step_id)
+        for i in range(len(trace.steps))
+        for j in range(i + 1, len(trace.steps))
+        if produced[i] & consumed[j]
+    }
+
+
+_NAMES = st.sampled_from(["alpha", "Beta", "gamma_2", "the", "and", "x1", "delta"])
+
+
+@st.composite
+def traces(draw, mode):
+    """Traces whose data sides are declared, text-scanned or mixed per side."""
+    steps = []
+    for i in range(1, draw(st.integers(1, 12)) + 1):
+        sides = {}
+        for side in ("produces", "consumes"):
+            declared = mode == "declared" or (mode == "mixed" and draw(st.booleans()))
+            sides[side] = tuple(draw(st.lists(_NAMES, max_size=3))) if declared else None
+        steps.append(
+            Step(
+                step_id=i,
+                agent=draw(st.sampled_from(["A", "B", "C"])),
+                action_type=draw(st.sampled_from(["plan", "message", "code"])),
+                input=" ".join(draw(st.lists(_NAMES, max_size=4))),
+                output=" ".join(draw(st.lists(_NAMES, max_size=4))),
+                timestamp=f"2026-01-05T10:{i:02d}:00Z",
+                **sides,
+            )
+        )
+    agents = tuple(dict.fromkeys(s.agent for s in steps))
+    return ExecutionTrace(scenario_id="t", domain="test", agents=agents, steps=tuple(steps))
+
+
+@pytest.mark.parametrize("mode", ["declared", "text", "mixed"])
+def test_data_edges_match_pairwise_scan(mode):
+    @settings(max_examples=150, deadline=None)
+    @given(traces(mode))
+    def check(trace):
+        graph = build_graph(trace)
+        assert all(e.src < e.dst for e in graph.edges)
+        data = {(e.src, e.dst) for e in graph.edges if e.kind == "data"}
+        assert data == pairwise_data_edges(trace)
+
+    check()
