@@ -23,7 +23,7 @@ from .benchgen import (
     make_blind,
     verify_ground_truth,
 )
-from .features import FeatureConfig, FeatureVector, compute_features
+from .features import FeatureConfig, compute_features
 from .graph import CandidateSet, CausalGraph, backtrace, build_graph
 from .model import (
     ExecutionTrace,
@@ -47,7 +47,6 @@ __all__ = [
     "CommandAdapter",
     "ExecutionTrace",
     "FeatureConfig",
-    "FeatureVector",
     "FixtureAdapter",
     "GeneratedScenario",
     "GridSpec",

@@ -185,8 +185,14 @@ def llm_baseline(
     prompt = build_prompt(trace, error)
     completion = adapter.complete(trace, prompt)
     meta = {"decoding": dict(LLM_DECODING_PARAMS)}
+    step_ids = [s.step_id for s in trace.steps]
     try:
         choice = parse_completion(completion)
+        if choice not in step_ids:
+            # Out-of-range step number: treat like an unparseable reply.
+            raise UnparseableCompletion(
+                f"completion names step {choice}, outside the {len(trace)}-step trace"
+            )
     except UnparseableCompletion:
         if strict:
             raise
@@ -194,19 +200,7 @@ def llm_baseline(
         return Prediction(
             method="llm", ordering=fallback.ordering, fallback=True, meta=meta
         )
-    step_ids = [s.step_id for s in trace.steps]
-    if choice in step_ids:
-        ordering = tuple([choice] + [v for v in step_ids if v != choice])
-    else:
-        # Out-of-range step number: treat like an unparseable reply.
-        if strict:
-            raise UnparseableCompletion(
-                f"completion names step {choice}, outside the {len(trace)}-step trace"
-            )
-        fallback = last_node_baseline(trace, error)
-        return Prediction(
-            method="llm", ordering=fallback.ordering, fallback=True, meta=meta
-        )
+    ordering = tuple([choice] + [v for v in step_ids if v != choice])
     return Prediction(method="llm", ordering=ordering, meta=meta)
 
 

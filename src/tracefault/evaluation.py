@@ -212,7 +212,7 @@ def evaluate(
             # consulted, which keeps blind and annotated runs identical.
             ranks_by_method[method] = []
             for unit in units:
-                diagnosis = rank(unit.trace, weights, config, max_depth, collect_timings=True)
+                diagnosis = rank(unit.trace, weights, config, max_depth)
                 ranks_by_method[method].append(diagnosis.rank_of(unit.root_cause))
                 timings.append(diagnosis.timings_ms)
                 tables.append(diagnosis.table)
@@ -394,7 +394,7 @@ def runtime_bench(
         samples = []
         for rep in range(reps):
             start = time.perf_counter()
-            diagnosis = rank(trace, weights=weights, config=config, collect_timings=True)
+            diagnosis = rank(trace, weights=weights, config=config)
             samples.append((time.perf_counter() - start) * 1e3)
             for name, ms in diagnosis.timings_ms.items():
                 component_totals.setdefault(name, []).append(ms)

@@ -4,7 +4,8 @@ Seventeen raw features are computed for every candidate node, organized in
 five groups: position (4), structure (4), content (4), flow (3), confidence
 (2). Each feature is min-max normalized over the candidate set with an
 epsilon guard, oriented so that higher always means "more suspicious", then
-averaged within its group.
+averaged within its group. ``compute_features`` returns only those group
+scores, which are all that ranking needs.
 
 Orientation is configurable per feature (+1 keeps the normalized value, -1
 flips it to ``1 - value``). The default orientation scores a node as
@@ -15,12 +16,7 @@ the error and late cascade steps are not early. Reachability is likewise
 oriented toward *concentrated* influence (-1): within a backtraced
 candidate set every node already reaches the error, so a narrow descendant
 cone means the node's effect is specific to the failing path, whereas
-broadcast-style early hubs influence everything and are weak evidence. Two
-alternative presets are provided: ``ORIENTATION_EARLY_DOMINANT`` (all four
-position features reward earliness alone, wide influence is suspicious) and
-``ORIENTATION_LITERAL`` (no flips; with this preset the normalized
-position/reverse-position pair cancels to a constant on chain graphs, which
-is useful for validating the normalization algebra).
+broadcast-style early hubs influence everything and are weak evidence.
 
 A note on the stated-confidence direction: low declared confidence is
 treated as suspicious (orientation -1). This is a judgment call; flip it in
@@ -33,7 +29,7 @@ import json
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .graph import CausalGraph, betweenness, descendants, distances_to, longest_path_depth
 from .model import ExecutionTrace
@@ -54,10 +50,6 @@ FEATURE_GROUPS: dict[str, tuple[str, ...]] = {
 ALL_FEATURES: tuple[str, ...] = tuple(
     name for group in FEATURE_GROUPS.values() for name in group
 )
-
-GROUP_OF: dict[str, str] = {
-    name: group for group, names in FEATURE_GROUPS.items() for name in names
-}
 
 EPSILON = 1e-8
 
@@ -80,20 +72,6 @@ DEFAULT_ORIENTATION: dict[str, int] = {
     "stated_confidence": -1,
     "hedging_score": +1,
 }
-
-# Earliness-only position variant: every position feature rewards being
-# early, and wide downstream influence counts as suspicious. On
-# chain-shaped candidate sets this is a pure "pick the first candidate"
-# signal.
-ORIENTATION_EARLY_DOMINANT: dict[str, int] = {
-    **DEFAULT_ORIENTATION,
-    "distance_to_error": +1,
-    "depth_ratio": -1,
-    "reachability": +1,
-}
-
-# No flips anywhere; exposes the raw normalization algebra.
-ORIENTATION_LITERAL: dict[str, int] = {name: +1 for name in ALL_FEATURES}
 
 DEFAULT_ERROR_KEYWORDS = (
     "error",
@@ -225,16 +203,6 @@ class FeatureConfig:
         )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Raw values, normalized values, and aggregated group scores for a node."""
-
-    step_id: int
-    raw: dict[str, float]
-    normalized: dict[str, float]
-    group_scores: dict[str, float]
-
-
 def _words(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
@@ -316,7 +284,8 @@ def extract_raw(
 
 
 def normalize(raw_by_node: dict[int, dict[str, float]]) -> dict[int, dict[str, float]]:
-    """Min-max normalize each feature over the candidate population.
+    """Min-max normalize each feature over the candidate population, keyed
+    by step id in ascending order.
 
     ``(f - min) / (max - min + epsilon)``: a constant feature maps to zero
     for every node rather than dividing by zero.
@@ -354,21 +323,9 @@ def compute_features(
     candidates,
     error_node: int,
     config: FeatureConfig | None = None,
-) -> dict[int, FeatureVector]:
-    """Full pipeline: raw extraction, normalization, group aggregation."""
+) -> dict[int, dict[str, float]]:
+    """Group scores of every candidate, keyed by step id in ascending order:
+    raw extraction, normalization, then orientation and group averages."""
     config = config or FeatureConfig()
-    raw = extract_raw(trace, graph, candidates, error_node, config)
-    norm = normalize(raw)
-    return {
-        v: FeatureVector(
-            step_id=v,
-            raw=raw[v],
-            normalized=norm[v],
-            group_scores=group_scores(norm[v], config.orientation),
-        )
-        for v in sorted(raw)
-    }
-
-
-def config_with_orientation(orientation: dict[str, int]) -> FeatureConfig:
-    return replace(FeatureConfig(), orientation=dict(orientation))
+    normalized = normalize(extract_raw(trace, graph, candidates, error_node, config))
+    return {v: group_scores(values, config.orientation) for v, values in normalized.items()}

@@ -182,9 +182,6 @@ class CandidateSet:
     members: frozenset[int]
     depth_of: dict[int, int] = field(compare=False)
 
-    def ordered(self) -> list[int]:
-        return sorted(self.members)
-
 
 def backtrace(graph: CausalGraph, error_node: int, max_depth: int = 10) -> CandidateSet:
     """Collect ancestors of ``error_node`` within ``max_depth`` BFS layers.
@@ -227,25 +224,6 @@ def descendants(graph: CausalGraph, v: int) -> set[int]:
     return seen
 
 
-def shortest_path_len(graph: CausalGraph, src: int, dst: int) -> float:
-    """Directed BFS distance from ``src`` to ``dst``; ``inf`` if unreachable."""
-    if src not in graph or dst not in graph:
-        raise NodeNotFound(f"path endpoints {src}->{dst} not in graph")
-    if src == dst:
-        return 0
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for u in graph.successors[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                if u == dst:
-                    return dist[u]
-                queue.append(u)
-    return float("inf")
-
-
 def distances_to(graph: CausalGraph, dst: int) -> dict[int, float]:
     """Directed distance from every node to ``dst`` in one reverse BFS."""
     if dst not in graph:
@@ -261,23 +239,18 @@ def distances_to(graph: CausalGraph, dst: int) -> dict[int, float]:
     return {v: dist.get(v, float("inf")) for v in graph.nodes}
 
 
-def longest_path_depth(graph: CausalGraph, v: int | None = None):
-    """Longest path length from any source (no-parent node).
+def longest_path_depth(graph: CausalGraph) -> dict[int, int]:
+    """Longest path length from any source (no-parent node) to every node.
 
-    With a single node argument returns that node's depth; without it
-    returns the full map. Nodes are already topologically ordered by id
-    (edges satisfy ``from < to``), so one forward sweep suffices.
+    Nodes are already topologically ordered by id (edges satisfy
+    ``from < to``), so one forward sweep suffices.
     """
     depth = {u: 0 for u in graph.nodes}
     for u in graph.nodes:
         for w in graph.successors[u]:
             if depth[u] + 1 > depth[w]:
                 depth[w] = depth[u] + 1
-    if v is None:
-        return depth
-    if v not in graph:
-        raise NodeNotFound(f"node {v} not in graph")
-    return depth[v]
+    return depth
 
 
 def betweenness(graph: CausalGraph, nodes: Iterable[int] | None = None) -> dict[int, float]:

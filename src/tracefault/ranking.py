@@ -6,10 +6,12 @@ step, consistent with the root cause being the earliest correctable
 decision.
 
 Only that last step depends on the weights, so ``feature_table`` reduces a
-trace once (graph, backtrace, features) to a ``FeatureTable`` of candidate
-ids and group scores. ``rank`` builds one and scores it; the diagnosis keeps
-the table, which the evaluation ablations and sweep rescore, as the weight
-grid search does with tables of its own.
+trace once (graph, backtrace, features) to a ``FeatureTable``: the candidate
+ids and the group scores ``compute_features`` returns, as one array. ``rank``
+builds one and scores it; the diagnosis keeps the table, which the
+evaluation ablations and sweep rescore, as the weight grid search does with
+tables of its own. ``feature_table`` records the time of each layer it runs,
+and scoring adds its own, so every diagnosis carries its timings.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureConfig, FeatureVector, compute_features
+from .features import FEATURE_GROUPS, FeatureConfig, compute_features
 from .graph import CausalGraph, backtrace, build_graph
 from .model import ExecutionTrace
 
 DEFAULT_MAX_DEPTH = 10
 
-GROUP_ORDER = ("position", "structure", "content", "flow", "confidence")
+GROUP_ORDER = tuple(FEATURE_GROUPS)
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class RankedDiagnosis:
     error_node_id: int
     candidates: tuple[RankedCandidate, ...]
     weights: WeightVector
-    config_fingerprint: str
+    config: FeatureConfig = field(compare=False)
     timings_ms: dict[str, float] = field(compare=False, default_factory=dict)
     # The table the candidates were scored from, to rescore under other weights.
     table: FeatureTable | None = field(compare=False, repr=False, default=None)
@@ -129,7 +131,7 @@ class RankedDiagnosis:
             "error_node_id": self.error_node_id,
             "candidate_count": self.candidate_count,
             "weights": self.weights.as_dict(),
-            "config_fingerprint": self.config_fingerprint,
+            "config_fingerprint": self.config.fingerprint(),
             "candidates": [
                 {
                     "step_id": c.step_id,
@@ -143,40 +145,21 @@ class RankedDiagnosis:
         }
 
 
-def rank_candidates(
-    trace: ExecutionTrace,
-    features_by_node: dict[int, FeatureVector],
-    weights: WeightVector,
-    error_node: int,
-    config_fingerprint: str = "",
-) -> RankedDiagnosis:
-    return FeatureTable.from_features(
-        trace.scenario_id, error_node, features_by_node, config_fingerprint
-    ).rank(weights)
-
-
 @dataclass(frozen=True)
 class FeatureTable:
     """One trace reduced to what scoring needs: the anchor, the candidate
     step ids (ascending) and their k x 5 group scores, columns in
-    ``GROUP_ORDER``. Group scores do not depend on the weights, so a table
-    scores any number of weight vectors without recomputing features.
+    ``GROUP_ORDER``, plus the feature config and layer timings that built
+    it. Group scores do not depend on the weights, so a table scores any
+    number of weight vectors without recomputing features.
     """
 
     scenario_id: str
     anchor: int
     step_ids: tuple[int, ...]
     groups: np.ndarray
-    config_fingerprint: str
+    config: FeatureConfig = field(compare=False)
     timings_ms: dict[str, float] = field(compare=False, default_factory=dict)
-
-    @staticmethod
-    def from_features(scenario_id, anchor, features_by_node, config_fingerprint, timings_ms=None):
-        step_ids = tuple(sorted(features_by_node))
-        rows = [[features_by_node[v].group_scores[g] for g in GROUP_ORDER] for v in step_ids]
-        return FeatureTable(
-            scenario_id, anchor, step_ids, np.array(rows), config_fingerprint, timings_ms or {}
-        )
 
     def weighted_sums(self, weight_rows) -> np.ndarray:
         """Candidate scores (columns) under each row of an m x 5 weight array,
@@ -210,12 +193,9 @@ class FeatureTable:
             )
             for i, (total, v, groups) in enumerate(rows)
         )
-        timings = dict(self.timings_ms)
-        if timings:
-            timings["node_ranking"] = (time.perf_counter() - start) * 1e3
+        timings = {**self.timings_ms, "node_ranking": (time.perf_counter() - start) * 1e3}
         return RankedDiagnosis(
-            self.scenario_id, self.anchor, candidates, weights, self.config_fingerprint,
-            timings, table=self,
+            self.scenario_id, self.anchor, candidates, weights, self.config, timings, table=self
         )
 
 
@@ -225,7 +205,6 @@ def feature_table(
     max_depth: int = DEFAULT_MAX_DEPTH,
     error_node: int | None = None,
     graph: CausalGraph | None = None,
-    collect_timings: bool = False,
 ) -> FeatureTable:
     """Build the graph, backtrace from the anchor and extract features.
 
@@ -241,17 +220,15 @@ def feature_table(
     t1 = time.perf_counter()
     candidates = backtrace(graph, anchor, max_depth)
     t2 = time.perf_counter()
-    features_by_node = compute_features(trace, graph, candidates.members, anchor, config)
+    groups = compute_features(trace, graph, candidates.members, anchor, config)
     t3 = time.perf_counter()
     timings = {
         "graph_construction": (t1 - t0) * 1e3,
         "backward_tracing": (t2 - t1) * 1e3,
         "feature_extraction": (t3 - t2) * 1e3,
     }
-    return FeatureTable.from_features(
-        trace.scenario_id, anchor, features_by_node, config.fingerprint(),
-        timings if collect_timings else None,
-    )
+    rows = [[scores[g] for g in GROUP_ORDER] for scores in groups.values()]
+    return FeatureTable(trace.scenario_id, anchor, tuple(groups), np.array(rows), config, timings)
 
 
 def rank(
@@ -261,10 +238,9 @@ def rank(
     max_depth: int = DEFAULT_MAX_DEPTH,
     error_node: int | None = None,
     graph: CausalGraph | None = None,
-    collect_timings: bool = False,
 ) -> RankedDiagnosis:
     """Full pipeline: build the trace's feature table, then score and sort."""
-    table = feature_table(trace, config, max_depth, error_node, graph, collect_timings)
+    table = feature_table(trace, config, max_depth, error_node, graph)
     return table.rank(weights or WeightVector())
 
 

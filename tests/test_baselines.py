@@ -111,7 +111,7 @@ def test_fixture_adapter_missing_scenario(trace):
 
 def test_unparseable_strict_raises(trace):
     adapter = FixtureAdapter({trace.scenario_id: "Step 3 is the cause"})
-    with pytest.raises(UnparseableCompletion):
+    with pytest.raises(UnparseableCompletion, match="does not start with a step number"):
         llm_baseline(trace, adapter, strict=True)
 
 
@@ -124,7 +124,7 @@ def test_unparseable_lenient_falls_back_to_last(trace):
 
 def test_out_of_range_step_number(trace):
     adapter = FixtureAdapter({trace.scenario_id: "42"})
-    with pytest.raises(UnparseableCompletion):
+    with pytest.raises(UnparseableCompletion, match="names step 42, outside the 5-step trace"):
         llm_baseline(trace, adapter, strict=True)
     pred = llm_baseline(trace, adapter, strict=False)
     assert pred.fallback

@@ -8,7 +8,7 @@ import tracefault.ranking as ranking
 from tracefault.baselines import last_node_baseline
 from tracefault.benchgen import generate_benchmark
 from tracefault.evaluation import ABLATION_COMBOS, evaluate, render_report, run_checks
-from tracefault.features import compute_features
+from tracefault.features import FeatureConfig, compute_features
 from tracefault.graph import backtrace, build_graph
 from tracefault.model import DOMAINS
 from tracefault.ranking import WeightVector, feature_table, rank, score
@@ -52,7 +52,7 @@ def test_table_scores_equal_fresh_rank_for_every_weight_vector(sample):
             fresh = [(c.step_id, c.score) for c in rank(unit.trace, weights=weights).candidates]
             assert [(c.step_id, c.score) for c in kept.rank(weights).candidates] == scored
             oracle = sorted(
-                ((v, score(fv.group_scores, weights)) for v, fv in features.items()),
+                ((v, score(groups, weights)) for v, groups in features.items()),
                 key=lambda item: (-item[1], item[0]),
             )
             assert scored == fresh == oracle
@@ -92,6 +92,26 @@ def test_grid_search_computes_features_once_per_scenario(feature_calls):
     _, table = grid_search(scenarios)
     assert len(table) == 14
     assert sorted(feature_calls) == sorted(s.trace.scenario_id for s in scenarios)
+
+
+def test_config_fingerprint_once_per_evaluation_and_never_in_grid_search(sample, monkeypatch):
+    calls = []
+    original = FeatureConfig.fingerprint
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(FeatureConfig, "fingerprint", counted)
+    result = evaluate(
+        sample, methods=("tracefault",), bootstrap_b=10, with_ablations=True, with_sweep=True
+    )
+    assert len(calls) == 1
+    assert result["config_fingerprint"] == original(FeatureConfig())
+    calls.clear()
+    counts = {domain: 1 for domain in DOMAINS}
+    grid_search([g.scenario for g in generate_benchmark(seed=2024, counts=counts)])
+    assert calls == []
 
 
 def test_baseline_agreeing_everywhere_is_reported_not_raised(units):

@@ -1,5 +1,7 @@
 """Feature formulas, normalization algebra, and group aggregation."""
 
+from dataclasses import replace
+
 import pytest
 
 from tracefault.features import (
@@ -8,16 +10,31 @@ from tracefault.features import (
     EPSILON,
     FEATURE_GROUPS,
     FeatureConfig,
-    ORIENTATION_EARLY_DOMINANT,
-    ORIENTATION_LITERAL,
     compute_features,
-    config_with_orientation,
     extract_raw,
     group_scores,
     normalize,
 )
 from tracefault.graph import build_graph
 from tracefault.model import ExecutionTrace, Step
+
+# Earliness-only position variant: every position feature rewards being
+# early, and wide downstream influence counts as suspicious. On
+# chain-shaped candidate sets this is a pure "pick the first candidate"
+# signal.
+ORIENTATION_EARLY_DOMINANT: dict[str, int] = {
+    **DEFAULT_ORIENTATION,
+    "distance_to_error": +1,
+    "depth_ratio": -1,
+    "reachability": +1,
+}
+
+# No flips anywhere; exposes the raw normalization algebra.
+ORIENTATION_LITERAL: dict[str, int] = {name: +1 for name in ALL_FEATURES}
+
+
+def config_with_orientation(orientation: dict[str, int]) -> FeatureConfig:
+    return replace(FeatureConfig(), orientation=dict(orientation))
 
 
 def chain_trace(n=5, outputs=None, agents=None, confidences=None):
@@ -181,11 +198,11 @@ def test_complementarity_after_normalization(chain5):
     # normalized position and reverse position are exact complements once
     # min-max scaled, independent of orientation config
     trace, graph = chain5
-    features = compute_features(
-        trace, graph, [1, 2, 3, 4, 5], 5, config_with_orientation(ORIENTATION_LITERAL)
+    normalized = normalize(
+        extract_raw(trace, graph, [1, 2, 3, 4, 5], 5, config_with_orientation(ORIENTATION_LITERAL))
     )
-    for fv in features.values():
-        total = fv.normalized["normalized_position"] + fv.normalized["reverse_position"]
+    for values in normalized.values():
+        total = values["normalized_position"] + values["reverse_position"]
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -197,7 +214,7 @@ def test_chain_position_group_under_early_dominant(chain5):
         trace, graph, [1, 2, 3, 4, 5], 5,
         config_with_orientation(ORIENTATION_EARLY_DOMINANT),
     )
-    assert features[1].group_scores["position"] > features[4].group_scores["position"]
+    assert features[1]["position"] > features[4]["position"]
 
 
 def test_chain_position_group_under_default_is_flat(chain5):
@@ -205,15 +222,17 @@ def test_chain_position_group_under_default_is_flat(chain5):
     # earliness ramp and the closeness ramp are mirror images there.
     trace, graph = chain5
     features = compute_features(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig())
-    values = [fv.group_scores["position"] for fv in features.values()]
+    values = [scores["position"] for scores in features.values()]
     assert all(v == pytest.approx(0.5, abs=1e-6) for v in values)
 
 
 def test_bounds_all_in_unit_interval(chain5):
     trace, graph = chain5
+    normalized = normalize(extract_raw(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig()))
     features = compute_features(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig())
-    for fv in features.values():
-        for value in list(fv.normalized.values()) + list(fv.group_scores.values()):
+    assert list(features) == list(normalized) == [1, 2, 3, 4, 5]
+    for v in features:
+        for value in list(normalized[v].values()) + list(features[v].values()):
             assert -1e-9 <= value <= 1.0 + 1e-9
 
 

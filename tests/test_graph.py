@@ -18,7 +18,6 @@ from tracefault.graph import (
     descendants,
     distances_to,
     longest_path_depth,
-    shortest_path_len,
 )
 from tracefault.model import ExecutionTrace, Step, parse_scenario
 
@@ -194,15 +193,12 @@ def test_descendants_on_chain():
 
 def test_shortest_path_len():
     graph = diamond_graph()
-    assert shortest_path_len(graph, 1, 4) == 2
-    assert shortest_path_len(graph, 2, 3) == math.inf
-    assert shortest_path_len(graph, 3, 3) == 0
-    dist = distances_to(graph, 4)
-    assert dist == {1: 2, 2: 1, 3: 1, 4: 0}
+    assert distances_to(graph, 4) == {1: 2, 2: 1, 3: 1, 4: 0}
+    assert distances_to(graph, 3) == {1: 1, 2: math.inf, 3: 0, 4: math.inf}
 
 
 def test_longest_path_depth():
-    assert longest_path_depth(diamond_graph(), 4) == 2
+    assert longest_path_depth(diamond_graph()) == {1: 0, 2: 1, 3: 1, 4: 2}
     graph = chain_graph(5)
     assert longest_path_depth(graph) == {1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
 

@@ -1,15 +1,16 @@
 """Scoring, ranking order, tie-breaks, and the worked examples."""
 
+import numpy as np
 import pytest
 
 from tracefault.features import FeatureConfig
 from tracefault.model import parse_scenario
 from tracefault.ranking import (
     GROUP_ORDER,
+    FeatureTable,
     RankedDiagnosis,
     WeightVector,
     rank,
-    rank_candidates,
     render_markdown,
     score,
 )
@@ -17,6 +18,13 @@ from tracefault.ranking import (
 
 def groups(p=0.0, s=0.0, c=0.0, f=0.0, e=0.0):
     return {"position": p, "structure": s, "content": c, "flow": f, "confidence": e}
+
+
+def table_of(groups_by_step):
+    """A table anchored at step 5 with the given group scores per step."""
+    step_ids = tuple(sorted(groups_by_step))
+    rows = [[groups_by_step[v][g] for g in GROUP_ORDER] for v in step_ids]
+    return FeatureTable("table", 5, step_ids, np.array(rows), FeatureConfig())
 
 
 def test_score_all_ones_is_one():
@@ -77,21 +85,15 @@ def test_example1_position_group_dominates_breakdown(example1_bytes):
     assert max(winner.contributions, key=winner.contributions.get) == "position"
 
 
-def test_tie_break_earlier_step_wins(example1_bytes):
-    trace = parse_scenario(example1_bytes).trace
-    features = {
+def test_tie_break_earlier_step_wins():
+    table = table_of({
         2: groups(p=0.4, s=0.4),
         4: groups(p=0.4, s=0.4),
         5: groups(p=0.1),
-    }
-    from tracefault.features import FeatureVector
-
-    fvs = {
-        v: FeatureVector(step_id=v, raw={}, normalized={}, group_scores=gs)
-        for v, gs in features.items()
-    }
-    diagnosis = rank_candidates(trace, fvs, WeightVector(), error_node=5)
+    })
+    diagnosis = table.rank(WeightVector())
     assert [c.step_id for c in diagnosis.candidates] == [2, 4, 5]
+    assert list(table.tops([WeightVector().as_tuple()])) == [2]
 
 
 def test_ranking_is_permutation_and_monotone(example1_bytes):
@@ -117,21 +119,11 @@ def test_weight_degeneracy_position_only(example2_bytes):
 def test_argmax_invariant_under_constant_group_shift(example1_bytes):
     trace = parse_scenario(example1_bytes).trace
     base = rank(trace)
-    from tracefault.features import FeatureVector
-
-    shifted = {
-        c.step_id: FeatureVector(
-            step_id=c.step_id,
-            raw={},
-            normalized={},
-            group_scores={
-                g: (v + 0.1 if g == "structure" else v)
-                for g, v in c.group_scores.items()
-            },
-        )
+    shifted = table_of({
+        c.step_id: {g: (v + 0.1 if g == "structure" else v) for g, v in c.group_scores.items()}
         for c in base.candidates
-    }
-    again = rank_candidates(trace, shifted, WeightVector(), error_node=5)
+    })
+    again = shifted.rank(WeightVector())
     assert again.top() == base.top()
 
 
@@ -163,9 +155,9 @@ def test_report_object_and_markdown(example1_bytes):
     assert "| 1 | 3 |" in text
 
 
-def test_timings_collected_on_request(example1_bytes):
+def test_timings_always_collected(example1_bytes):
     scenario = parse_scenario(example1_bytes)
-    diagnosis = rank(scenario.trace, collect_timings=True)
+    diagnosis = rank(scenario.trace)
     assert set(diagnosis.timings_ms) == {
         "graph_construction",
         "backward_tracing",
