@@ -1,0 +1,74 @@
+"""Golden rankings: every seed-42 ranking and graph is reproduced exactly.
+
+The golden file holds, for each trace below, the ordered candidate ids with
+their scores rounded to 12 digits, plus one SHA-256 over the canonical JSON
+of every trace's causal graph:
+
+* the 550 seed-42 benchmark scenarios;
+* the validation split (``cli.VALIDATION_SEED``, 5 per domain);
+* a 400-step ``make_bench_trace`` (declared artifacts) and a 200-step one
+  with ``produces``/``consumes`` removed, so its data edges come from the
+  identifier scan.
+
+After an intended change of results, rewrite the file with
+``PYTHONPATH=src python tests/test_goldens.py`` and say why in the change.
+"""
+
+import gzip
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
+
+from tracefault.benchgen import generate_benchmark, make_bench_trace
+from tracefault.cli import VALIDATION_PER_DOMAIN, VALIDATION_SEED
+from tracefault.graph import build_graph
+from tracefault.model import DOMAINS, canonical_json_bytes
+from tracefault.ranking import rank
+
+GOLDEN = Path(__file__).parent / "goldens" / "seed42_rankings.json.gz"
+
+
+def golden_traces():
+    """(name, trace) pairs in golden order; names are unique across splits."""
+    validation = generate_benchmark(
+        seed=VALIDATION_SEED, counts={domain: VALIDATION_PER_DOMAIN for domain in DOMAINS}
+    )
+    scan = make_bench_trace(200)
+    scan = replace(
+        scan,
+        scenario_id="bench_200_textscan",
+        steps=tuple(replace(s, produces=None, consumes=None) for s in scan.steps),
+    )
+    return (
+        [(f"seed42/{g.trace.scenario_id}", g.trace) for g in generate_benchmark(seed=42)]
+        + [(f"validation/{g.trace.scenario_id}", g.trace) for g in validation]
+        + [(f"bench/{t.scenario_id}", t) for t in (make_bench_trace(400), scan)]
+    )
+
+
+def seed42_rankings() -> dict:
+    rankings = {}
+    graph_hash = hashlib.sha256()
+    for name, trace in golden_traces():
+        graph = build_graph(trace)
+        graph_hash.update(canonical_json_bytes(graph.to_obj()))
+        diagnosis = rank(trace, graph=graph)
+        rankings[name] = [[c.step_id, round(c.score, 12)] for c in diagnosis.candidates]
+    return {"rankings": rankings, "graph_sha256": graph_hash.hexdigest()}
+
+
+def test_seed42_rankings_match_golden():
+    with gzip.open(GOLDEN, "rt", encoding="utf-8") as handle:
+        golden = json.load(handle)
+    actual = seed42_rankings()
+    assert actual["rankings"].keys() == golden["rankings"].keys()
+    changed = [k for k, v in golden["rankings"].items() if actual["rankings"][k] != v]
+    assert changed == []
+    assert actual["graph_sha256"] == golden["graph_sha256"]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN.write_bytes(gzip.compress(canonical_json_bytes(seed42_rankings()), mtime=0))
+    print(f"wrote {GOLDEN}")
