@@ -20,14 +20,14 @@ without credentials or network access.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 import subprocess
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from .errors import AdapterFailure, UnparseableCompletion
-from .model import ExecutionTrace
+from .errors import AdapterFailure, SchemaViolation, UnparseableCompletion
+from .model import ExecutionTrace, load_json_object
 
 LLM_DECODING_PARAMS = {
     "temperature": 0.0,
@@ -130,12 +130,17 @@ class FixtureAdapter:
     """Replay adapter: completions recorded per scenario id."""
 
     def __init__(self, completions: dict[str, str]):
+        for scenario_id, completion in completions.items():
+            if not isinstance(completion, str):
+                raise SchemaViolation(
+                    f"fixture completion for {scenario_id!r}: expected string, "
+                    f"got {type(completion).__name__}"
+                )
         self.completions = dict(completions)
 
     @staticmethod
     def from_file(path) -> "FixtureAdapter":
-        with open(path, "r", encoding="utf-8") as handle:
-            return FixtureAdapter(json.load(handle))
+        return FixtureAdapter(load_json_object(Path(path).read_bytes()))
 
     def complete(self, trace: ExecutionTrace, prompt: str) -> str:
         try:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
 from .errors import TemplateExhausted, VerificationFailed
-from .graph import build_graph, descendants
+from .graph import EDGE_KINDS, build_graph, descendants
 from .model import (
     DOMAINS,
     ExecutionTrace,
@@ -752,7 +752,7 @@ def benchmark_manifest(scenarios: list[GeneratedScenario], seed: int) -> dict:
     lengths: list[int] = []
     node_counts: list[int] = []
     edge_counts: list[int] = []
-    kind_totals = {"sequential": 0, "communication": 0, "data": 0}
+    kind_totals = dict.fromkeys(EDGE_KINDS, 0)
     for gen in scenarios:
         trace = gen.trace
         by_domain[trace.domain] = by_domain.get(trace.domain, 0) + 1

@@ -215,7 +215,11 @@ def cmd_evaluate(args) -> int:
         units = units_from_scenarios(_read_scenarios(bench / "scenarios"))
 
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    adapter = FixtureAdapter.from_file(args.llm_fixture) if args.llm_fixture else None
+    adapter = None
+    if args.llm_fixture:
+        adapter = _parse_file(
+            Path(args.llm_fixture), lambda data: FixtureAdapter(load_json_object(data))
+        )
     result = evaluate(
         units,
         methods=methods,

@@ -11,14 +11,14 @@ Three edge kinds are derived from a trace:
   names overlap; when a step carries no produces/consumes lists, a
   conservative identifier scan of its text is used instead.
 
-All edges satisfy ``from < to`` (chronological order), which makes every
-graph acyclic by construction. Construction and queries are pure functions
-on immutable inputs.
+An edge is a plain ``(src, dst, kind)`` tuple. All edges satisfy
+``src < dst`` (chronological order), which makes every graph acyclic by
+construction. Construction and queries are pure functions on immutable
+inputs.
 """
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import deque
 from collections.abc import Iterable
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 
 from .errors import NodeNotFound
 from .model import ExecutionTrace
-
-logger = logging.getLogger(__name__)
 
 EDGE_KINDS = ("sequential", "communication", "data")
 
@@ -46,47 +44,37 @@ _STOP_WORDS = frozenset(
 
 
 @dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    kind: str
-
-
-@dataclass(frozen=True)
 class CausalGraph:
-    """DAG over step ids with typed edges and adjacency indexes."""
+    """DAG over step ids: ``(src, dst, kind)`` edges, one per kind and pair,
+    ordered by ``(src, dst, EDGE_KINDS order)``, plus adjacency indexes."""
 
     nodes: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    successors: dict[int, tuple[int, ...]] = field(repr=False, compare=False, default=None)
-    predecessors: dict[int, tuple[int, ...]] = field(repr=False, compare=False, default=None)
+    edges: tuple[tuple[int, int, str], ...]
+    successors: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
+    predecessors: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
 
     @staticmethod
-    def from_edges(nodes: list[int], edges: list[Edge]) -> "CausalGraph":
+    def from_edges(nodes: list[int], edges: list[tuple[int, int, str]]) -> "CausalGraph":
+        """Build the graph from ``(src, dst, kind)`` tuples.
+
+        An endpoint that is not a node raises ``NodeNotFound``. Edges with
+        ``src >= dst`` break chronology and are dropped, which keeps the
+        graph acyclic; duplicates of a kind and pair collapse to one.
+        """
         node_set = set(nodes)
-        kept: list[Edge] = []
-        seen: set[tuple[int, int, str]] = set()
-        for e in edges:
-            if e.src not in node_set or e.dst not in node_set:
-                raise NodeNotFound(f"edge {e.src}->{e.dst}: endpoint not a node")
-            if e.src >= e.dst:
-                # Chronology violation; dropping preserves acyclicity cheaply.
-                logger.debug("dropping non-chronological edge %s->%s", e.src, e.dst)
-                continue
-            key = (e.src, e.dst, e.kind)
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(e)
-        kept.sort(key=lambda e: (e.src, e.dst, EDGE_KINDS.index(e.kind)))
+        for src, dst, _ in edges:
+            if src not in node_set or dst not in node_set:
+                raise NodeNotFound(f"edge {src}->{dst}: endpoint not a node")
+        code = {kind: i for i, kind in enumerate(EDGE_KINDS)}
+        keyed = sorted({(src, dst, code[kind]) for src, dst, kind in edges if src < dst})
         succ: dict[int, list[int]] = {v: [] for v in nodes}
         pred: dict[int, list[int]] = {v: [] for v in nodes}
-        for src, dst in sorted({(e.src, e.dst) for e in kept}):
+        for src, dst in dict.fromkeys((src, dst) for src, dst, _ in keyed):
             succ[src].append(dst)
             pred[dst].append(src)
         return CausalGraph(
             nodes=tuple(sorted(nodes)),
-            edges=tuple(kept),
+            edges=tuple((src, dst, EDGE_KINDS[k]) for src, dst, k in keyed),
             successors={v: tuple(vs) for v, vs in succ.items()},
             predecessors={v: tuple(vs) for v, vs in pred.items()},
         )
@@ -101,16 +89,16 @@ class CausalGraph:
         return len(self.predecessors[v])
 
     def edge_kind_counts(self) -> dict[str, int]:
-        counts = {kind: 0 for kind in EDGE_KINDS}
-        for e in self.edges:
-            counts[e.kind] += 1
+        counts = dict.fromkeys(EDGE_KINDS, 0)
+        for _, _, kind in self.edges:
+            counts[kind] += 1
         return counts
 
     def to_obj(self) -> dict:
         """JSON-friendly dump used by ``analyze --dump-graph`` and goldens."""
         return {
             "nodes": list(self.nodes),
-            "edges": [{"from": e.src, "to": e.dst, "kind": e.kind} for e in self.edges],
+            "edges": [{"from": src, "to": dst, "kind": kind} for src, dst, kind in self.edges],
         }
 
 
@@ -135,20 +123,20 @@ def build_graph(trace: ExecutionTrace) -> CausalGraph:
     """
     steps = trace.steps
     n = len(steps)
-    edges: list[Edge] = []
+    edges: list[tuple[int, int, str]] = []
 
     # Sequential: successive steps in each agent's own timeline.
     last_by_agent: dict[str, int] = {}
     for step in steps:
         prev = last_by_agent.get(step.agent)
         if prev is not None:
-            edges.append(Edge(prev, step.step_id, "sequential"))
+            edges.append((prev, step.step_id, "sequential"))
         last_by_agent[step.agent] = step.step_id
 
     # Communication: hand-off at each agent-block boundary.
     for i in range(n - 1):
         if steps[i].agent != steps[i + 1].agent:
-            edges.append(Edge(steps[i].step_id, steps[i + 1].step_id, "communication"))
+            edges.append((steps[i].step_id, steps[i + 1].step_id, "communication"))
 
     # Communication: message steps link to their first cross-agent consumer.
     for step in steps:
@@ -156,7 +144,7 @@ def build_graph(trace: ExecutionTrace) -> CausalGraph:
             continue
         for later in steps[step.step_id :]:
             if later.agent != step.agent:
-                edges.append(Edge(step.step_id, later.step_id, "communication"))
+                edges.append((step.step_id, later.step_id, "communication"))
                 break
 
     # Data: declared artifact overlap, with a text-scan fallback per side.
@@ -168,7 +156,7 @@ def build_graph(trace: ExecutionTrace) -> CausalGraph:
         for name in _artifact_names(step.consumes, step.input):
             sources.update(producers.get(name, ()))
         for src in sources:
-            edges.append(Edge(src, step.step_id, "data"))
+            edges.append((src, step.step_id, "data"))
         for name in _artifact_names(step.produces, step.output):
             producers.setdefault(name, []).append(step.step_id)
 

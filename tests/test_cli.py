@@ -104,3 +104,27 @@ def test_analyze_dump_graph_builds_the_graph_once(monkeypatch, example1_path, tm
     assert main(["analyze", str(example1_path), "--dump-graph", "--out", str(out)]) == 0
     assert len(calls) == 1
     assert json.loads(out.read_text())["graph"]["nodes"] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ('{"sof_example1": ', "invalid JSON"),
+        ('["3"]', "expected JSON object"),
+        ('{"sof_example1": 3}', "expected string"),
+    ],
+    ids=["truncated", "top-level-list", "non-string-completion"],
+)
+def test_evaluate_malformed_llm_fixture_exits_3_naming_the_file(
+    tmp_path, example1_bytes, capsys, content, message
+):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(content)
+    argv = ["evaluate", str(tmp_path), "--methods", "tracefault,llm", "--llm-fixture", str(fixture)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert str(fixture) in err
+    assert message in err
+    assert "Traceback" not in err

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tracefault.errors import NodeNotFound
 from tracefault.graph import (
+    EDGE_KINDS,
     CausalGraph,
-    Edge,
     _identifier_tokens,
     backtrace,
     betweenness,
@@ -47,7 +47,7 @@ def make_trace(agents_actions, produces=None, consumes=None):
 
 def chain_graph(n):
     nodes = list(range(1, n + 1))
-    edges = [Edge(i, i + 1, "sequential") for i in range(1, n)]
+    edges = [(i, i + 1, "sequential") for i in range(1, n)]
     return CausalGraph.from_edges(nodes, edges)
 
 
@@ -55,10 +55,10 @@ def diamond_graph():
     return CausalGraph.from_edges(
         [1, 2, 3, 4],
         [
-            Edge(1, 2, "sequential"),
-            Edge(1, 3, "communication"),
-            Edge(2, 4, "sequential"),
-            Edge(3, 4, "communication"),
+            (1, 2, "sequential"),
+            (1, 3, "communication"),
+            (2, 4, "sequential"),
+            (3, 4, "communication"),
         ],
     )
 
@@ -69,8 +69,8 @@ def test_example1_edge_contract(example1_bytes):
     trace = parse_scenario(example1_bytes).trace
     graph = build_graph(trace)
     by_kind = {}
-    for e in graph.edges:
-        by_kind.setdefault(e.kind, set()).add((e.src, e.dst))
+    for src, dst, kind in graph.edges:
+        by_kind.setdefault(kind, set()).add((src, dst))
     assert (2, 3) in by_kind["sequential"]
     assert by_kind["communication"] == {(1, 2), (3, 4), (4, 5)}
 
@@ -85,7 +85,7 @@ def test_single_step_trace_has_no_edges():
 def test_sequential_edges_follow_agent_timeline():
     trace = make_trace([("A", "plan"), ("B", "code"), ("A", "review")])
     graph = build_graph(trace)
-    seq = {(e.src, e.dst) for e in graph.edges if e.kind == "sequential"}
+    seq = {(src, dst) for src, dst, kind in graph.edges if kind == "sequential"}
     assert (1, 3) in seq  # A's thread continues across B's interruption
 
 
@@ -94,7 +94,7 @@ def test_message_step_links_to_first_cross_agent_consumer():
         [("A", "message"), ("A", "plan"), ("B", "code")],
     )
     graph = build_graph(trace)
-    comm = {(e.src, e.dst) for e in graph.edges if e.kind == "communication"}
+    comm = {(src, dst) for src, dst, kind in graph.edges if kind == "communication"}
     assert (1, 3) in comm  # message pairs with B's step, skipping A's own
     assert (2, 3) in comm  # plus the block-boundary hand-off
 
@@ -106,7 +106,7 @@ def test_data_edges_from_declared_artifacts():
         consumes={1: [], 2: ["spec"], 3: ["spec", "build"]},
     )
     graph = build_graph(trace)
-    data = {(e.src, e.dst) for e in graph.edges if e.kind == "data"}
+    data = {(src, dst) for src, dst, kind in graph.edges if kind == "data"}
     assert data == {(1, 2), (1, 3), (2, 3)}
 
 
@@ -125,7 +125,7 @@ def test_data_edge_text_fallback_when_lists_absent():
         scenario_id="t", domain="test", agents=("A", "B"), steps=tuple(steps)
     )
     graph = build_graph(trace)
-    data = {(e.src, e.dst) for e in graph.edges if e.kind == "data"}
+    data = {(src, dst) for src, dst, kind in graph.edges if kind == "data"}
     assert (1, 2) in data
 
 
@@ -139,21 +139,63 @@ def test_stop_words_do_not_create_data_edges():
     ]
     trace = ExecutionTrace(scenario_id="t", domain="test", agents=("A", "B"), steps=tuple(steps))
     graph = build_graph(trace)
-    assert not [e for e in graph.edges if e.kind == "data"]
+    assert not [(src, dst) for src, dst, kind in graph.edges if kind == "data"]
 
 
 def test_duplicate_typed_edges_collapse():
     graph = CausalGraph.from_edges(
         [1, 2],
-        [Edge(1, 2, "data"), Edge(1, 2, "data"), Edge(1, 2, "sequential")],
+        [(1, 2, "data"), (1, 2, "data"), (1, 2, "sequential")],
     )
     assert len(graph.edges) == 2  # one per kind
+    assert graph.edges == ((1, 2, "sequential"), (1, 2, "data"))  # EDGE_KINDS order
     assert graph.successors[1] == (2,)
 
 
 def test_non_chronological_edges_dropped():
-    graph = CausalGraph.from_edges([1, 2], [Edge(2, 1, "data"), Edge(1, 2, "data")])
-    assert [(e.src, e.dst) for e in graph.edges] == [(1, 2)]
+    graph = CausalGraph.from_edges([1, 2], [(2, 1, "data"), (1, 2, "data")])
+    assert [(src, dst) for src, dst, _ in graph.edges] == [(1, 2)]
+
+
+def test_unknown_endpoint_raises_in_either_direction():
+    with pytest.raises(NodeNotFound):
+        CausalGraph.from_edges([1, 2], [(1, 9, "data")])
+    with pytest.raises(NodeNotFound):
+        CausalGraph.from_edges([1, 2], [(9, 1, "data")])
+
+
+def from_edges_oracle(nodes, edges):
+    """Reference: keep chronological edges once each, sorted by
+    ``(src, dst, EDGE_KINDS order)``; adjacency lists the distinct pairs."""
+    kept = sorted(
+        {e for e in edges if e[0] < e[1]}, key=lambda e: (e[0], e[1], EDGE_KINDS.index(e[2]))
+    )
+    successors = {v: tuple(sorted({dst for src, dst, _ in kept if src == v})) for v in nodes}
+    predecessors = {v: tuple(sorted({src for src, dst, _ in kept if dst == v})) for v in nodes}
+    return tuple(kept), successors, predecessors
+
+
+@st.composite
+def edge_lists(draw):
+    """Node ids 1..n in any order, and edges with duplicates, reversed pairs,
+    self-loops and every kind."""
+    n = draw(st.integers(1, 10))
+    nodes = draw(st.permutations(range(1, n + 1)))
+    ends = st.integers(1, n)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(EDGE_KINDS)), max_size=40))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=10))
+        edges += [(dst, src, kind) for src, dst, kind in draw(st.lists(st.sampled_from(edges)))]
+    return list(nodes), draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_from_edges_matches_sort_and_filter_oracle(case):
+    nodes, edges = case
+    graph = CausalGraph.from_edges(nodes, edges)
+    assert graph.nodes == tuple(sorted(nodes))
+    assert (graph.edges, graph.successors, graph.predecessors) == from_edges_oracle(nodes, edges)
 
 
 def test_backtrace_full_chain():
@@ -233,7 +275,7 @@ def dags_with_nodes(draw):
     n = draw(st.integers(1, 14))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    edges = [Edge(i, j, "data") for (i, j), kept in zip(pairs, keep) if kept]
+    edges = [(i, j, "data") for (i, j), kept in zip(pairs, keep) if kept]
     graph = CausalGraph.from_edges(list(range(1, n + 1)), edges)
     nodes = draw(st.sets(st.integers(1, n)))
     return graph, nodes
@@ -245,7 +287,7 @@ def test_betweenness_of_subset_matches_networkx(case):
     graph, nodes = case
     digraph = nx.DiGraph()
     digraph.add_nodes_from(graph.nodes)
-    digraph.add_edges_from((e.src, e.dst) for e in graph.edges)
+    digraph.add_edges_from((src, dst) for src, dst, _ in graph.edges)
     expected = nx.betweenness_centrality(digraph, normalized=False)
     scores = betweenness(graph, nodes)
     assert set(scores) == nodes
@@ -264,6 +306,25 @@ def test_betweenness_of_subset_equals_full_restricted(case):
 def test_betweenness_unknown_node():
     with pytest.raises(NodeNotFound):
         betweenness(chain_graph(3), {4})
+
+
+@st.composite
+def dags_with_anchor(draw):
+    graph, _ = draw(dags_with_nodes())
+    return graph, draw(st.sampled_from(graph.nodes)), draw(st.integers(1, 14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_with_anchor())
+def test_backtrace_depths_match_networkx_reverse_bfs(case):
+    graph, anchor, max_depth = case
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(graph.nodes)
+    digraph.add_edges_from((src, dst) for src, dst, _ in graph.edges)
+    expected = nx.single_source_shortest_path_length(digraph.reverse(), anchor, cutoff=max_depth)
+    result = backtrace(graph, anchor, max_depth)
+    assert result.depth_of == expected
+    assert result.members == frozenset(expected)
 
 
 def pairwise_data_edges(trace):
@@ -316,8 +377,8 @@ def test_data_edges_match_pairwise_scan(mode):
     @given(traces(mode))
     def check(trace):
         graph = build_graph(trace)
-        assert all(e.src < e.dst for e in graph.edges)
-        data = {(e.src, e.dst) for e in graph.edges if e.kind == "data"}
+        assert all(src < dst for src, dst, _ in graph.edges)
+        data = {(src, dst) for src, dst, kind in graph.edges if kind == "data"}
         assert data == pairwise_data_edges(trace)
 
     check()

@@ -1,7 +1,11 @@
 """Scoring, ranking order, tie-breaks, and the worked examples."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracefault.features import FeatureConfig
 from tracefault.model import parse_scenario
@@ -165,3 +169,21 @@ def test_timings_always_collected(example1_bytes):
         "node_ranking",
     }
     assert all(v >= 0 for v in diagnosis.timings_ms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rank_invariant_under_artifact_list_permutations(seed42_benchmark, data):
+    # A seed-42 trace whose steps get random multi-name artifact lists (or
+    # none, for the text scan), ranked against a copy with every list permuted.
+    trace = data.draw(st.sampled_from(seed42_benchmark)).trace
+    pool = sorted({name for s in trace.steps for name in s.produces + s.consumes})
+    names = st.none() | st.lists(st.sampled_from(pool), max_size=4).map(tuple)
+
+    def permuted(declared):
+        return None if declared is None else tuple(data.draw(st.permutations(declared)))
+
+    steps = [replace(s, produces=data.draw(names), consumes=data.draw(names)) for s in trace.steps]
+    shuffled = [replace(s, produces=permuted(s.produces), consumes=permuted(s.consumes)) for s in steps]
+    original = rank(replace(trace, steps=tuple(steps))).to_obj()
+    assert rank(replace(trace, steps=tuple(shuffled))).to_obj() == original
