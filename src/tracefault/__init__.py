@@ -37,7 +37,7 @@ from .model import (
 )
 from .ranking import RankedDiagnosis, WeightVector, rank, score
 from .stats import bootstrap_ci, cohens_h, hit_at_k, mcnemar, mrr
-from .weights import GridSpec, grid_search, sensitivity_sweep
+from .weights import GridSpec, grid_search
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "random_baseline",
     "rank",
     "score",
-    "sensitivity_sweep",
     "serialize_scenario",
     "serialize_trace",
     "verify_ground_truth",

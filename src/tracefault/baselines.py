@@ -24,10 +24,9 @@ import random
 import re
 import subprocess
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import AdapterFailure, SchemaViolation, UnparseableCompletion
-from .model import ExecutionTrace, load_json_object
+from .model import ExecutionTrace
 
 LLM_DECODING_PARAMS = {
     "temperature": 0.0,
@@ -137,10 +136,6 @@ class FixtureAdapter:
                     f"got {type(completion).__name__}"
                 )
         self.completions = dict(completions)
-
-    @staticmethod
-    def from_file(path) -> "FixtureAdapter":
-        return FixtureAdapter(load_json_object(Path(path).read_bytes()))
 
     def complete(self, trace: ExecutionTrace, prompt: str) -> str:
         try:

@@ -345,8 +345,6 @@ class GeneratedScenario:
     scenario: Scenario
     correct_steps: tuple[Step, ...]
     bug: BugSpec
-    artifact: str
-    cascade_members: tuple[int, ...]
 
     @property
     def trace(self) -> ExecutionTrace:
@@ -414,8 +412,8 @@ def _build_correct_steps(
     n: int,
     scenario_idx: int,
     rng: random.Random,
-) -> tuple[tuple[Step, ...], list[str]]:
-    """Synthesize the bug-free trace; returns steps plus per-step artifacts."""
+) -> tuple[Step, ...]:
+    """Synthesize the bug-free trace."""
     plan = _block_plan(template, n, rng)
     artifacts = [
         f"{template.artifacts[i % len(template.artifacts)]}_{i + 1:02d}" for i in range(n)
@@ -473,7 +471,7 @@ def _build_correct_steps(
                 consumes=tuple(consumes),
             )
         )
-    return tuple(steps), artifacts
+    return tuple(steps)
 
 
 def _mutate_output(
@@ -513,8 +511,9 @@ def _inject(
     template: DomainTemplate,
     bug: BugSpec,
     rng: random.Random,
-) -> tuple[tuple[Step, ...], str, str, tuple[int, ...]]:
-    """Apply the mutation and propagate the cascade downstream.
+) -> tuple[tuple[Step, ...], str]:
+    """Apply the mutation and propagate the cascade downstream; returns the
+    steps and the bug description.
 
     The corrupted artifact is added to the consume lists of the error node
     (always) and up to one intermediate step, so the built graph carries a
@@ -545,9 +544,8 @@ def _inject(
         extra_consumers.append(rng.randrange(b + 1, n))
         if rng.random() < 0.35:
             extra_consumers.append(rng.randrange(b + 1, n))
-    cascade = tuple(range(b + 1, n + 1))
     note = _CASCADE_NOTE.format(artifact=artifact)
-    for m in cascade:
+    for m in range(b + 1, n + 1):
         step = steps[m - 1]
         consumes = set(step.consumes or ())
         if m in extra_consumers:
@@ -567,7 +565,7 @@ def _inject(
             output=output,
             consumes=tuple(sorted(consumes)),
         )
-    return tuple(steps), artifact, description, cascade
+    return tuple(steps), description
 
 
 def _scenario_id(template: DomainTemplate, index: int, rng: random.Random) -> str:
@@ -622,10 +620,8 @@ def generate_benchmark(
                 mutation_kind=MUTATION_OF_BUG_TYPE[bug_type],
                 bug_step=bug_step,
             )
-            correct_steps, _ = _build_correct_steps(template, n, index, rng)
-            injected, artifact, description, cascade = _inject(
-                correct_steps, template, bug, rng
-            )
+            correct_steps = _build_correct_steps(template, n, index, rng)
+            injected, description = _inject(correct_steps, template, bug, rng)
             trace = ExecutionTrace(
                 scenario_id=_scenario_id(template, index, rng),
                 domain=domain,
@@ -643,8 +639,6 @@ def generate_benchmark(
                     scenario=Scenario(trace=trace, ground_truth=ground_truth),
                     correct_steps=correct_steps,
                     bug=bug,
-                    artifact=artifact,
-                    cascade_members=cascade,
                 )
             )
             index += 1
@@ -655,7 +649,7 @@ def make_bench_trace(n: int, seed: int = 0) -> ExecutionTrace:
     """Bug-free trace of arbitrary length for runtime benchmarking."""
     template = DOMAIN_TEMPLATES["software_development"]
     rng = random.Random(f"bench|{seed}|{n}")
-    steps, _ = _build_correct_steps(template, n, 0, rng)
+    steps = _build_correct_steps(template, n, 0, rng)
     return ExecutionTrace(
         scenario_id=f"bench_{n:03d}",
         domain=template.domain,

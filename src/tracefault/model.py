@@ -234,8 +234,11 @@ def _parse_trace_obj(obj: dict, path: str = "") -> ExecutionTrace:
     )
 
 
-def load_json_object(data: bytes | str) -> dict:
-    """Decode UTF-8 JSON whose top level must be an object."""
+def load_json_object(data: bytes | str | dict) -> dict:
+    """Decode UTF-8 JSON whose top level must be an object; an already
+    decoded object passes through."""
+    if isinstance(data, dict):
+        return data
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -250,7 +253,7 @@ def load_json_object(data: bytes | str) -> dict:
     return obj
 
 
-def parse_scenario(data: bytes | str) -> Scenario:
+def parse_scenario(data: bytes | str | dict) -> Scenario:
     """Parse and fully validate an annotated scenario file."""
     obj = load_json_object(data)
     _reject_extras(obj, _TRACE_REQUIRED + ("ground_truth",), "scenario")
@@ -266,7 +269,7 @@ def parse_scenario(data: bytes | str) -> Scenario:
     return Scenario(trace=trace, ground_truth=gt)
 
 
-def parse_trace_blind(data: bytes | str) -> ExecutionTrace:
+def parse_trace_blind(data: bytes | str | dict) -> ExecutionTrace:
     """Parse a blind trace file; any ground-truth payload is rejected.
 
     This is the analysis-side entry point: it structurally cannot observe
@@ -283,10 +286,12 @@ def parse_trace_blind(data: bytes | str) -> ExecutionTrace:
 
 
 def parse_trace(data: bytes | str) -> ExecutionTrace:
-    """The trace of an annotated scenario (validated in full) or a blind trace."""
-    if "ground_truth" in load_json_object(data):
-        return parse_scenario(data).trace
-    return parse_trace_blind(data)
+    """The trace of an annotated scenario (validated in full) or a blind trace,
+    decoding the JSON once."""
+    obj = load_json_object(data)
+    if "ground_truth" in obj:
+        return parse_scenario(obj).trace
+    return parse_trace_blind(obj)
 
 
 def _step_to_obj(step: Step) -> dict:

@@ -8,10 +8,12 @@ decision.
 Only that last step depends on the weights, so ``feature_table`` reduces a
 trace once (graph, backtrace, features) to a ``FeatureTable``: the candidate
 ids and the group scores ``compute_features`` returns, as one array. ``rank``
-builds one and scores it; the diagnosis keeps the table, which the
-evaluation ablations and sweep rescore, as the weight grid search does with
-tables of its own. ``feature_table`` records the time of each layer it runs,
-and scoring adds its own, so every diagnosis carries its timings.
+builds one and scores it. A ``RankedDiagnosis`` is that table plus the sorted
+``(score, step_id)`` pairs; only its report builds per-candidate group scores
+and contributions. The evaluation ablations and sweep rescore the kept table,
+as the weight grid search does with tables of its own. ``feature_table``
+records the time of each layer it runs, and scoring adds its own, so every
+diagnosis carries its timings.
 """
 
 from __future__ import annotations
@@ -88,59 +90,45 @@ def score(group_score_map: dict[str, float], weights: WeightVector) -> float:
 
 
 @dataclass(frozen=True)
-class RankedCandidate:
-    step_id: int
-    score: float
-    group_scores: dict[str, float] = field(compare=False)
-    contributions: dict[str, float] = field(compare=False)
-    rank: int = 0
-
-
-@dataclass(frozen=True)
 class RankedDiagnosis:
-    """Candidates ordered by score (desc), ties broken by earlier step."""
+    """A ``FeatureTable`` scored under one weight vector.
 
-    scenario_id: str
-    error_node_id: int
-    candidates: tuple[RankedCandidate, ...]
+    ``ranked`` holds ``(score, step_id)`` pairs, rank 1 first: descending
+    score, ties broken by the earlier step. The scenario id, anchor (error
+    node) and feature config are the table's. ``to_obj`` builds each
+    candidate's group scores and weighted contributions from the table rows.
+    """
+
+    table: FeatureTable = field(compare=False, repr=False)
     weights: WeightVector
-    config: FeatureConfig = field(compare=False)
+    ranked: tuple[tuple[float, int], ...]
     timings_ms: dict[str, float] = field(compare=False, default_factory=dict)
-    # The table the candidates were scored from, to rescore under other weights.
-    table: FeatureTable | None = field(compare=False, repr=False, default=None)
-
-    @property
-    def candidate_count(self) -> int:
-        return len(self.candidates)
-
-    def top(self) -> int:
-        return self.candidates[0].step_id
 
     def rank_of(self, step_id: int) -> int | None:
-        for cand in self.candidates:
-            if cand.step_id == step_id:
-                return cand.rank
+        for rank, (_, v) in enumerate(self.ranked, 1):
+            if v == step_id:
+                return rank
         return None
 
-    def ordered_step_ids(self) -> list[int]:
-        return [c.step_id for c in self.candidates]
-
     def to_obj(self) -> dict:
+        table = self.table
+        rows = dict(zip(table.step_ids, table.groups.tolist()))
+        w = self.weights.as_tuple()
         return {
-            "scenario_id": self.scenario_id,
-            "error_node_id": self.error_node_id,
-            "candidate_count": self.candidate_count,
+            "scenario_id": table.scenario_id,
+            "error_node_id": table.anchor,
+            "candidate_count": len(self.ranked),
             "weights": self.weights.as_dict(),
-            "config_fingerprint": self.config.fingerprint(),
+            "config_fingerprint": table.config.fingerprint(),
             "candidates": [
                 {
-                    "step_id": c.step_id,
-                    "rank": c.rank,
-                    "score": c.score,
-                    "groups": c.group_scores,
-                    "contributions": c.contributions,
+                    "step_id": v,
+                    "rank": rank,
+                    "score": total,
+                    "groups": dict(zip(GROUP_ORDER, rows[v])),
+                    "contributions": {g: wg * x for g, wg, x in zip(GROUP_ORDER, w, rows[v])},
                 }
-                for c in self.candidates
+                for rank, (total, v) in enumerate(self.ranked, 1)
             ],
         }
 
@@ -178,25 +166,12 @@ class FeatureTable:
 
     def rank(self, weights: WeightVector) -> RankedDiagnosis:
         start = time.perf_counter()
-        w = weights.as_tuple()
-        totals = self.weighted_sums([w])[0].tolist()
+        totals = self.weighted_sums([weights.as_tuple()])[0].tolist()
         # Descending score; earlier step wins ties. Sorting on (-score, step_id)
         # makes the order total, so input permutations cannot change it.
-        rows = sorted(zip(totals, self.step_ids, self.groups.tolist()), key=lambda r: (-r[0], r[1]))
-        candidates = tuple(
-            RankedCandidate(
-                step_id=v,
-                score=total,
-                group_scores=dict(zip(GROUP_ORDER, groups)),
-                contributions={g: wg * x for g, wg, x in zip(GROUP_ORDER, w, groups)},
-                rank=i + 1,
-            )
-            for i, (total, v, groups) in enumerate(rows)
-        )
+        ranked = tuple(sorted(zip(totals, self.step_ids), key=lambda r: (-r[0], r[1])))
         timings = {**self.timings_ms, "node_ranking": (time.perf_counter() - start) * 1e3}
-        return RankedDiagnosis(
-            self.scenario_id, self.anchor, candidates, weights, self.config, timings, table=self
-        )
+        return RankedDiagnosis(self, weights, ranked, timings)
 
 
 def feature_table(
@@ -245,20 +220,19 @@ def rank(
 
 
 def render_markdown(diagnosis: RankedDiagnosis) -> str:
-    """Human-readable rendering of a diagnosis report."""
+    """Human-readable rendering of the diagnosis report (``to_obj``)."""
+    report = diagnosis.to_obj()
     lines = [
-        f"# Diagnosis for {diagnosis.scenario_id}",
+        f"# Diagnosis for {report['scenario_id']}",
         "",
-        f"Error node: step {diagnosis.error_node_id}; "
-        f"{diagnosis.candidate_count} candidates ranked.",
+        f"Error node: step {report['error_node_id']}; "
+        f"{report['candidate_count']} candidates ranked.",
         "",
         "| rank | step | score | " + " | ".join(GROUP_ORDER) + " |",
         "|---|---|---|" + "---|" * len(GROUP_ORDER),
     ]
-    for cand in diagnosis.candidates:
-        groups = " | ".join(f"{cand.group_scores[g]:.3f}" for g in GROUP_ORDER)
-        lines.append(
-            f"| {cand.rank} | {cand.step_id} | {cand.score:.4f} | {groups} |"
-        )
+    for cand in report["candidates"]:
+        groups = " | ".join(f"{cand['groups'][g]:.3f}" for g in GROUP_ORDER)
+        lines.append(f"| {cand['rank']} | {cand['step_id']} | {cand['score']:.4f} | {groups} |")
     lines.append("")
     return "\n".join(lines)

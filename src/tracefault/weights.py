@@ -66,15 +66,6 @@ def sweep_rows(tables, roots, position_values=SWEEP_POSITION_VALUES):
     return list(zip(position_values, hit_at_1_by_weights(tables, roots, points)))
 
 
-def _scenario_tables(scenarios, config, max_depth):
-    """Tables anchored at each scenario's annotated error node, and the roots."""
-    tables = [
-        feature_table(s.trace, config, max_depth, error_node=s.ground_truth.error_node_id)
-        for s in scenarios
-    ]
-    return tables, [s.ground_truth.root_cause_node_id for s in scenarios]
-
-
 def grid_search(
     validation,
     grid: GridSpec | None = None,
@@ -89,30 +80,17 @@ def grid_search(
     points = grid.feasible_points()
     if not points:
         raise EmptyGrid("no weight combination satisfies the sum-to-one constraint")
-    tables, roots = _scenario_tables(validation, config, max_depth)
+    tables = [
+        feature_table(s.trace, config, max_depth, error_node=s.ground_truth.error_node_id)
+        for s in validation
+    ]
+    roots = [s.ground_truth.root_cause_node_id for s in validation]
     table = list(zip(points, hit_at_1_by_weights(tables, roots, points)))
     best = max(
         table,
         key=lambda item: (item[1], item[0].position, item[0].as_tuple()),
     )[0]
     return best, table
-
-
-def sensitivity_sweep(
-    scenarios,
-    position_values=SWEEP_POSITION_VALUES,
-    config: FeatureConfig | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> list[tuple[float, float]]:
-    """Hit@1 as the position weight varies.
-
-    For each value the remaining mass is spread over the other groups in
-    proportion to their default ratios.
-    """
-    scenarios = list(scenarios)
-    if not scenarios:
-        raise EmptyBenchmark("sensitivity sweep over zero scenarios")
-    return sweep_rows(*_scenario_tables(scenarios, config, max_depth), position_values)
 
 
 def weights_report(best: WeightVector, table) -> dict:

@@ -21,7 +21,7 @@ from tracefault.baselines import (
     render_trace,
 )
 from tracefault.errors import AdapterFailure, UnparseableCompletion
-from tracefault.model import parse_scenario
+from tracefault.model import load_json_object, parse_scenario
 
 
 @pytest.fixture()
@@ -153,7 +153,7 @@ def test_command_adapter_failure(tmp_path, trace):
 def test_fixture_adapter_from_file(tmp_path, trace):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps({trace.scenario_id: "2"}))
-    adapter = FixtureAdapter.from_file(path)
+    adapter = FixtureAdapter(load_json_object(path.read_bytes()))
     assert llm_baseline(trace, adapter).ordering[0] == 2
 
 

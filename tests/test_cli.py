@@ -128,3 +128,22 @@ def test_evaluate_malformed_llm_fixture_exits_3_naming_the_file(
     assert str(fixture) in err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("explain", [False, True], ids=["plain", "explain"])
+def test_analyze_markdown_keeps_the_group_table(example1_path, capsys, explain):
+    argv = ["analyze", str(example1_path), "--markdown"] + (["--explain"] if explain else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    report, end = json.JSONDecoder().raw_decode(out)
+    candidates = report["candidates"]
+    explained = [{"groups", "contributions"} & c.keys() for c in candidates]
+    assert explained == [{"groups", "contributions"} if explain else set()] * len(candidates)
+    lines = out[end:].splitlines()
+    header = lines.index("| rank | step | score | " + " | ".join(ranking.GROUP_ORDER) + " |")
+    rows = [line.strip("| ").split(" | ") for line in lines[header + 2 :] if line]
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(c["rank"], c["step_id"]) for c in candidates]
+    assert all(len(r) == 3 + len(ranking.GROUP_ORDER) for r in rows)
+    if explain:
+        for row, cand in zip(rows, candidates):
+            assert row[3:] == [f"{cand['groups'][g]:.3f}" for g in ranking.GROUP_ORDER]

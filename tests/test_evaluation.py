@@ -48,9 +48,9 @@ def test_table_scores_equal_fresh_rank_for_every_weight_vector(sample):
         features = compute_features(unit.trace, graph, backtrace(graph, anchor).members, anchor)
         kept = rank(unit.trace).table
         for weights in REWEIGHTS:
-            scored = [(c.step_id, c.score) for c in table.rank(weights).candidates]
-            fresh = [(c.step_id, c.score) for c in rank(unit.trace, weights=weights).candidates]
-            assert [(c.step_id, c.score) for c in kept.rank(weights).candidates] == scored
+            scored = [(v, s) for s, v in table.rank(weights).ranked]
+            fresh = [(v, s) for s, v in rank(unit.trace, weights=weights).ranked]
+            assert [(v, s) for s, v in kept.rank(weights).ranked] == scored
             oracle = sorted(
                 ((v, score(groups, weights)) for v, groups in features.items()),
                 key=lambda item: (-item[1], item[0]),

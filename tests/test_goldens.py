@@ -1,8 +1,10 @@
 """Golden rankings: every seed-42 ranking and graph is reproduced exactly.
 
 The golden file holds, for each trace below, the ordered candidate ids with
-their scores rounded to 12 digits, plus one SHA-256 over the canonical JSON
-of every trace's causal graph:
+their scores rounded to 12 digits, plus two SHA-256 digests over every trace
+in order: one over the canonical JSON of its causal graph, and one over its
+whole report, the canonical JSON of ``to_obj()`` followed by the
+``render_markdown`` text:
 
 * the 550 seed-42 benchmark scenarios;
 * the validation split (``cli.VALIDATION_SEED``, 5 per domain);
@@ -24,7 +26,7 @@ from tracefault.benchgen import generate_benchmark, make_bench_trace
 from tracefault.cli import VALIDATION_PER_DOMAIN, VALIDATION_SEED
 from tracefault.graph import build_graph
 from tracefault.model import DOMAINS, canonical_json_bytes
-from tracefault.ranking import rank
+from tracefault.ranking import rank, render_markdown
 
 GOLDEN = Path(__file__).parent / "goldens" / "seed42_rankings.json.gz"
 
@@ -50,12 +52,19 @@ def golden_traces():
 def seed42_rankings() -> dict:
     rankings = {}
     graph_hash = hashlib.sha256()
+    report_hash = hashlib.sha256()
     for name, trace in golden_traces():
         graph = build_graph(trace)
         graph_hash.update(canonical_json_bytes(graph.to_obj()))
         diagnosis = rank(trace, graph=graph)
-        rankings[name] = [[c.step_id, round(c.score, 12)] for c in diagnosis.candidates]
-    return {"rankings": rankings, "graph_sha256": graph_hash.hexdigest()}
+        report_hash.update(canonical_json_bytes(diagnosis.to_obj()))
+        report_hash.update(render_markdown(diagnosis).encode())
+        rankings[name] = [[v, round(s, 12)] for s, v in diagnosis.ranked]
+    return {
+        "rankings": rankings,
+        "graph_sha256": graph_hash.hexdigest(),
+        "report_sha256": report_hash.hexdigest(),
+    }
 
 
 def test_seed42_rankings_match_golden():
@@ -66,6 +75,7 @@ def test_seed42_rankings_match_golden():
     changed = [k for k, v in golden["rankings"].items() if actual["rankings"][k] != v]
     assert changed == []
     assert actual["graph_sha256"] == golden["graph_sha256"]
+    assert actual["report_sha256"] == golden["report_sha256"]
 
 
 if __name__ == "__main__":

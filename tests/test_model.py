@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tracefault import model
 from tracefault.errors import InvariantViolation, MalformedJson, SchemaViolation
 from tracefault.model import (
     ExecutionTrace,
@@ -11,6 +12,7 @@ from tracefault.model import (
     Scenario,
     Step,
     parse_scenario,
+    parse_trace,
     parse_trace_blind,
     serialize_scenario,
     serialize_trace,
@@ -204,3 +206,18 @@ def test_direct_construction_validates():
     )
     assert Scenario(trace=trace, ground_truth=gt).trace is trace
     assert trace_to_obj(trace)["steps"][0]["step_id"] == 1
+
+
+@pytest.mark.parametrize("annotated", [True, False], ids=["annotated", "blind"])
+def test_parse_trace_decodes_json_once(monkeypatch, example1_bytes, annotated):
+    scenario = parse_scenario(example1_bytes)
+    data = example1_bytes if annotated else serialize_trace(scenario.trace)
+    loads, calls = json.loads, []
+
+    def counting_loads(*args, **kwargs):
+        calls.append(1)
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(model.json, "loads", counting_loads)
+    assert parse_trace(data) == scenario.trace
+    assert len(calls) == 1

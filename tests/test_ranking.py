@@ -71,22 +71,22 @@ def test_with_position_spreads_proportionally():
 def test_example1_ranks_step3_first(example1_bytes):
     scenario = parse_scenario(example1_bytes)
     diagnosis = rank(scenario.trace)
-    assert diagnosis.top() == 3
-    assert diagnosis.error_node_id == 5
-    assert diagnosis.candidate_count == 5
+    assert diagnosis.ranked[0][1] == 3
+    assert diagnosis.table.anchor == 5
+    assert len(diagnosis.ranked) == 5
 
 
 def test_example2_ranks_step3_first(example2_bytes):
     scenario = parse_scenario(example2_bytes)
     diagnosis = rank(scenario.trace)
-    assert diagnosis.top() == 3
+    assert diagnosis.ranked[0][1] == 3
 
 
 def test_example1_position_group_dominates_breakdown(example1_bytes):
     scenario = parse_scenario(example1_bytes)
     diagnosis = rank(scenario.trace)
-    winner = diagnosis.candidates[0]
-    assert max(winner.contributions, key=winner.contributions.get) == "position"
+    contributions = diagnosis.to_obj()["candidates"][0]["contributions"]
+    assert max(contributions, key=contributions.get) == "position"
 
 
 def test_tie_break_earlier_step_wins():
@@ -96,52 +96,51 @@ def test_tie_break_earlier_step_wins():
         5: groups(p=0.1),
     })
     diagnosis = table.rank(WeightVector())
-    assert [c.step_id for c in diagnosis.candidates] == [2, 4, 5]
+    assert [v for _, v in diagnosis.ranked] == [2, 4, 5]
     assert list(table.tops([WeightVector().as_tuple()])) == [2]
 
 
 def test_ranking_is_permutation_and_monotone(example1_bytes):
     scenario = parse_scenario(example1_bytes)
     diagnosis = rank(scenario.trace)
-    ids = sorted(c.step_id for c in diagnosis.candidates)
+    ids = sorted(v for _, v in diagnosis.ranked)
     assert ids == [1, 2, 3, 4, 5]
-    scores = [c.score for c in diagnosis.candidates]
+    scores = [s for s, _ in diagnosis.ranked]
     assert scores == sorted(scores, reverse=True)
-    assert [c.rank for c in diagnosis.candidates] == [1, 2, 3, 4, 5]
+    assert [c["rank"] for c in diagnosis.to_obj()["candidates"]] == [1, 2, 3, 4, 5]
 
 
 def test_weight_degeneracy_position_only(example2_bytes):
     scenario = parse_scenario(example2_bytes)
     weights = WeightVector(position=1.0, structure=0.0, content=0.0, flow=0.0, confidence=0.0)
     diagnosis = rank(scenario.trace, weights=weights)
-    by_position = sorted(
-        diagnosis.candidates, key=lambda c: (-c.group_scores["position"], c.step_id)
-    )
-    assert [c.step_id for c in diagnosis.candidates] == [c.step_id for c in by_position]
+    candidates = diagnosis.to_obj()["candidates"]
+    by_position = sorted(candidates, key=lambda c: (-c["groups"]["position"], c["step_id"]))
+    assert [c["step_id"] for c in candidates] == [c["step_id"] for c in by_position]
 
 
 def test_argmax_invariant_under_constant_group_shift(example1_bytes):
     trace = parse_scenario(example1_bytes).trace
     base = rank(trace)
     shifted = table_of({
-        c.step_id: {g: (v + 0.1 if g == "structure" else v) for g, v in c.group_scores.items()}
-        for c in base.candidates
+        c["step_id"]: {g: (v + 0.1 if g == "structure" else v) for g, v in c["groups"].items()}
+        for c in base.to_obj()["candidates"]
     })
     again = shifted.rank(WeightVector())
-    assert again.top() == base.top()
+    assert again.ranked[0][1] == base.ranked[0][1]
 
 
 def test_explicit_error_node_override(example1_bytes):
     scenario = parse_scenario(example1_bytes)
     diagnosis = rank(scenario.trace, error_node=4)
-    assert diagnosis.error_node_id == 4
-    assert 5 not in diagnosis.ordered_step_ids()  # not an ancestor of step 4
+    assert diagnosis.table.anchor == 4
+    assert 5 not in [v for _, v in diagnosis.ranked]  # not an ancestor of step 4
 
 
 def test_max_depth_limits_candidates(example1_bytes):
     scenario = parse_scenario(example1_bytes)
     diagnosis = rank(scenario.trace, max_depth=1)
-    assert set(diagnosis.ordered_step_ids()) == {3, 4, 5}  # parents of 5 only
+    assert {v for _, v in diagnosis.ranked} == {3, 4, 5}  # parents of 5 only
 
 
 def test_report_object_and_markdown(example1_bytes):

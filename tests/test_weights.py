@@ -6,14 +6,15 @@ import pytest
 
 from tracefault.benchgen import generate_benchmark
 from tracefault.errors import EmptyBenchmark, EmptyGrid
+from tracefault.evaluation import evaluate
 from tracefault.model import DOMAINS
-from tracefault.ranking import WeightVector
+from tracefault.ranking import WeightVector, feature_table
 from tracefault.weights import (
     DEFAULT_GRID,
     GridSpec,
     SWEEP_POSITION_VALUES,
     grid_search,
-    sensitivity_sweep,
+    sweep_rows,
     weights_report,
 )
 
@@ -87,11 +88,18 @@ def test_empty_validation_raises():
     with pytest.raises(EmptyBenchmark):
         grid_search([])
     with pytest.raises(EmptyBenchmark):
-        sensitivity_sweep([])
+        evaluate([], methods=("tracefault",), with_sweep=True)
+
+
+def annotated_sweep(scenarios, position_values=SWEEP_POSITION_VALUES):
+    """``sweep_rows`` over tables anchored at each annotated error node."""
+    tables = [feature_table(s.trace, error_node=s.ground_truth.error_node_id) for s in scenarios]
+    roots = [s.ground_truth.root_cause_node_id for s in scenarios]
+    return sweep_rows(tables, roots, position_values)
 
 
 def test_sweep_default_point_matches_default_weights(validation):
-    rows = sensitivity_sweep(validation, position_values=(0.7,))
+    rows = annotated_sweep(validation, position_values=(0.7,))
     from tracefault.ranking import rank
     from tracefault.stats import hit_at_k
 
@@ -103,7 +111,7 @@ def test_sweep_default_point_matches_default_weights(validation):
 
 
 def test_sweep_covers_requested_values(validation):
-    rows = sensitivity_sweep(validation[:20])
+    rows = annotated_sweep(validation[:20])
     assert [w for w, _ in rows] == list(SWEEP_POSITION_VALUES)
     assert all(0.0 <= hit <= 1.0 for _, hit in rows)
 
