@@ -183,6 +183,7 @@ def cmd_analyze(args) -> int:
         graph=graph,
     )
     report = diagnosis.to_obj()
+    markdown = render_markdown(report) if args.markdown else ""
     if args.dump_graph:
         report["graph"] = graph.to_obj()
     if not args.explain:
@@ -193,8 +194,7 @@ def cmd_analyze(args) -> int:
         _write_json(Path(args.out), report)
     else:
         sys.stdout.write(canonical_json_bytes(report).decode("utf-8"))
-    if args.markdown:
-        sys.stdout.write(render_markdown(diagnosis))
+    sys.stdout.write(markdown)
     return 0
 
 
@@ -283,11 +283,8 @@ def cmd_bench(args) -> int:
     sizes = tuple(int(s) for s in args.sizes.split(","))
     result = runtime_bench(sizes=sizes, reps=args.reps)
     _write_json(Path(args.out), result)
-    fit = result["linear_fit"]
-    print(
-        f"sizes {sizes}: slope {fit['slope_ms_per_step']:.3f} ms/step, "
-        f"r2 {fit['r2']:.4f} -> {args.out}"
-    )
+    largest = max(result["rows"], key=lambda row: row["steps"])
+    print(f"sizes {sizes}: {largest['steps']} steps in {largest['mean_ms']:.3f} ms -> {args.out}")
     return 0
 
 

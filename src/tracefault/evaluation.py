@@ -39,7 +39,6 @@ from .stats import (
     cohens_h,
     format_p_value,
     hit_at_k,
-    linear_fit,
     mcnemar,
     mrr,
 )
@@ -402,12 +401,8 @@ def runtime_bench(
         mean_ms = sum(samples) / len(samples)
         p95 = samples[min(len(samples) - 1, int(round(0.95 * (len(samples) - 1))))]
         rows.append({"steps": n, "mean_ms": mean_ms, "p95_ms": p95})
-    slope, intercept, r2 = linear_fit(
-        [row["steps"] for row in rows], [row["mean_ms"] for row in rows]
-    )
     return {
         "rows": rows,
-        "linear_fit": {"slope_ms_per_step": slope, "intercept_ms": intercept, "r2": r2},
         "components_ms": {
             name: {
                 "mean": sum(vals) / len(vals),

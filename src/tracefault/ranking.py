@@ -7,21 +7,23 @@ decision.
 
 Only that last step depends on the weights, so ``feature_table`` reduces a
 trace once (graph, backtrace, features) to a ``FeatureTable``: the candidate
-ids and the group scores ``compute_features`` returns, as one array. ``rank``
-builds one and scores it. A ``RankedDiagnosis`` is that table plus the sorted
-``(score, step_id)`` pairs; only its report builds per-candidate group scores
-and contributions. The evaluation ablations and sweep rescore the kept table,
-as the weight grid search does with tables of its own. ``feature_table``
-records the time of each layer it runs, and scoring adds its own, so every
-diagnosis carries its timings.
+ids and the group scores ``compute_features`` returns, packed row by row into
+one ``array('d')``. ``rank`` builds one and scores it in plain Python. A
+score is always summed left to right in ``GROUP_ORDER``, as ``score`` does:
+floating-point addition is not associative, so a sum in another order (a
+matmul, say) could change a last digit and flip a tie. A ``RankedDiagnosis``
+is that table plus the sorted ``(score, step_id)`` pairs; only its report
+builds per-candidate group scores and contributions. The evaluation
+ablations and sweep rescore the kept table, as the weight grid search does
+with tables of its own. ``feature_table`` records the time of each layer it
+runs, and scoring adds its own, so every diagnosis carries its timings.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .features import FEATURE_GROUPS, FeatureConfig, compute_features
 from .graph import CausalGraph, backtrace, build_graph
@@ -112,7 +114,8 @@ class RankedDiagnosis:
 
     def to_obj(self) -> dict:
         table = self.table
-        rows = dict(zip(table.step_ids, table.groups.tolist()))
+        n = len(GROUP_ORDER)
+        rows = {v: table.groups[n * i : n * i + n] for i, v in enumerate(table.step_ids)}
         w = self.weights.as_tuple()
         return {
             "scenario_id": table.scenario_id,
@@ -136,37 +139,41 @@ class RankedDiagnosis:
 @dataclass(frozen=True)
 class FeatureTable:
     """One trace reduced to what scoring needs: the anchor, the candidate
-    step ids (ascending) and their k x 5 group scores, columns in
-    ``GROUP_ORDER``, plus the feature config and layer timings that built
-    it. Group scores do not depend on the weights, so a table scores any
-    number of weight vectors without recomputing features.
+    step ids (ascending) and their group scores, plus the feature config and
+    layer timings that built it. ``groups`` holds the k x 5 scores as one
+    flat ``array('d')``, row ``i`` (step ``step_ids[i]``) at ``5*i`` to
+    ``5*i + 4`` in ``GROUP_ORDER``; packed doubles keep the 550 tables of an
+    evaluation small. Group scores do not depend on the weights, so a table
+    scores any number of weight vectors without recomputing features.
     """
 
     scenario_id: str
     anchor: int
     step_ids: tuple[int, ...]
-    groups: np.ndarray
+    groups: array
     config: FeatureConfig = field(compare=False)
     timings_ms: dict[str, float] = field(compare=False, default_factory=dict)
 
-    def weighted_sums(self, weight_rows) -> np.ndarray:
-        """Candidate scores (columns) under each row of an m x 5 weight array,
-        summed left to right in ``GROUP_ORDER`` exactly as ``score`` does (a
-        matmul sums in another order; a last-digit change could flip a tie)."""
-        weight_rows = np.asarray(weight_rows, dtype=np.float64)
-        total = np.zeros((len(weight_rows), len(self.step_ids)))
-        for j in range(len(GROUP_ORDER)):
-            total = total + weight_rows[:, j : j + 1] * self.groups[:, j]
-        return total
+    def scores(self, weights: WeightVector) -> list[float]:
+        """Candidate scores in ``step_ids`` order, each summed left to right
+        in ``GROUP_ORDER`` exactly as ``score`` does."""
+        w0, w1, w2, w3, w4 = weights.as_tuple()
+        values = iter(self.groups)
+        # Five references to one iterator: zip yields one row per step.
+        return [
+            w0 * p + w1 * s + w2 * c + w3 * f + w4 * e
+            for p, s, c, f, e in zip(values, values, values, values, values)
+        ]
 
-    def tops(self, weight_rows) -> np.ndarray:
-        """Top-ranked step under each weight row. ``argmax`` keeps the first
-        maximum, and step ids ascend, so exact ties go to the earlier step."""
-        return np.asarray(self.step_ids)[self.weighted_sums(weight_rows).argmax(axis=1)]
+    def top(self, weights: WeightVector) -> int:
+        """The top-ranked step. ``index`` finds the first maximum, and step
+        ids ascend, so exact ties go to the earlier step."""
+        totals = self.scores(weights)
+        return self.step_ids[totals.index(max(totals))]
 
     def rank(self, weights: WeightVector) -> RankedDiagnosis:
         start = time.perf_counter()
-        totals = self.weighted_sums([weights.as_tuple()])[0].tolist()
+        totals = self.scores(weights)
         # Descending score; earlier step wins ties. Sorting on (-score, step_id)
         # makes the order total, so input permutations cannot change it.
         ranked = tuple(sorted(zip(totals, self.step_ids), key=lambda r: (-r[0], r[1])))
@@ -202,8 +209,8 @@ def feature_table(
         "backward_tracing": (t2 - t1) * 1e3,
         "feature_extraction": (t3 - t2) * 1e3,
     }
-    rows = [[scores[g] for g in GROUP_ORDER] for scores in groups.values()]
-    return FeatureTable(trace.scenario_id, anchor, tuple(groups), np.array(rows), config, timings)
+    rows = array("d", [scores[g] for scores in groups.values() for g in GROUP_ORDER])
+    return FeatureTable(trace.scenario_id, anchor, tuple(groups), rows, config, timings)
 
 
 def rank(
@@ -219,9 +226,8 @@ def rank(
     return table.rank(weights or WeightVector())
 
 
-def render_markdown(diagnosis: RankedDiagnosis) -> str:
-    """Human-readable rendering of the diagnosis report (``to_obj``)."""
-    report = diagnosis.to_obj()
+def render_markdown(report: dict) -> str:
+    """Human-readable rendering of a diagnosis report (``to_obj()``)."""
     lines = [
         f"# Diagnosis for {report['scenario_id']}",
         "",

@@ -4,6 +4,10 @@ Hit@k / mean reciprocal rank over per-scenario ranks, percentile bootstrap
 confidence intervals, McNemar's paired test with continuity correction, and
 Cohen's h effect size for proportions.
 
+numpy is imported by ``bootstrap_ci`` only, whose pinned seed stream needs
+it, so commands that never bootstrap (``analyze``, ``learn-weights``) never
+load it.
+
 The bootstrap draws its resample indices as ``B`` successive
 ``rng.integers(0, n, size=n)`` calls from ``numpy.random.default_rng(seed)``;
 this seed-stream contract is fixed so an independent resampler can reproduce
@@ -16,8 +20,6 @@ value ``lo + (hi - lo) * frac``.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DegenerateTable, EmptyBenchmark
 
@@ -67,6 +69,8 @@ def bootstrap_ci(
     seed: int = BOOTSTRAP_DEFAULT_SEED,
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for the mean of ``outcomes``."""
+    import numpy as np
+
     values = np.asarray(list(outcomes), dtype=np.float64)
     n = values.size
     if n == 0:
@@ -125,17 +129,3 @@ def cohens_h(p1: float, p2: float) -> float:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
     return 2.0 * math.asin(math.sqrt(p1)) - 2.0 * math.asin(math.sqrt(p2))
-
-
-def linear_fit(xs, ys) -> tuple[float, float, float]:
-    """Least-squares slope, intercept, and R^2 for a scaling check."""
-    xs = np.asarray(list(xs), dtype=np.float64)
-    ys = np.asarray(list(ys), dtype=np.float64)
-    if xs.size < 2:
-        raise ValueError("linear fit needs at least two points")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    predicted = slope * xs + intercept
-    ss_res = float(((ys - predicted) ** 2).sum())
-    ss_tot = float(((ys - ys.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyBenchmark, EmptyGrid
 from .features import FeatureConfig
 from .ranking import DEFAULT_MAX_DEPTH, FeatureTable, WeightVector, feature_table
@@ -28,6 +26,9 @@ DEFAULT_GRID = {
 
 SWEEP_POSITION_VALUES = (0.5, 0.6, 0.7, 0.8, 0.9)
 
+# How far a grid combination's sum may sit from one and still be feasible.
+_SUM_TOLERANCE = 1e-9
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -36,7 +37,6 @@ class GridSpec:
     content: tuple[float, ...] = DEFAULT_GRID["content"]
     flow: tuple[float, ...] = DEFAULT_GRID["flow"]
     confidence: tuple[float, ...] = DEFAULT_GRID["confidence"]
-    sum_tolerance: float = 1e-9
 
     def feasible_points(self) -> list[WeightVector]:
         """All grid combinations whose weights sum to one, in grid order."""
@@ -44,7 +44,7 @@ class GridSpec:
         for combo in itertools.product(
             self.position, self.structure, self.content, self.flow, self.confidence
         ):
-            if abs(sum(combo) - 1.0) <= self.sum_tolerance:
+            if abs(sum(combo) - 1.0) <= _SUM_TOLERANCE:
                 points.append(WeightVector(*combo))
         return points
 
@@ -53,11 +53,8 @@ def hit_at_1_by_weights(tables: list[FeatureTable], roots, points) -> list[float
     """Hit@1 of each weight vector in ``points`` over the tables' traces,
     where ``roots[i]`` is the true root cause of ``tables[i]`` (callers reject
     an empty set)."""
-    rows = np.array([w.as_tuple() for w in points], dtype=np.float64)
-    hits = np.zeros(len(points), dtype=np.int64)
-    for table, root in zip(tables, roots):
-        hits += table.tops(rows) == root
-    return [int(h) / len(tables) for h in hits]
+    pairs = list(zip(tables, roots))
+    return [sum(t.top(w) == root for t, root in pairs) / len(tables) for w in points]
 
 
 def sweep_rows(tables, roots, position_values=SWEEP_POSITION_VALUES):

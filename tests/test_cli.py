@@ -1,9 +1,15 @@
-"""CLI exit codes: 3 for unreadable input (naming the file), 2 for usage errors."""
+"""CLI exit codes: 3 for unreadable input (naming the file), 2 for usage errors,
+plus the subcommands' outputs and the modules they load."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tracefault
 from tracefault import cli, ranking
 from tracefault.cli import main
 
@@ -147,3 +153,47 @@ def test_analyze_markdown_keeps_the_group_table(example1_path, capsys, explain):
     if explain:
         for row, cand in zip(rows, candidates):
             assert row[3:] == [f"{cand['groups'][g]:.3f}" for g in ranking.GROUP_ORDER]
+
+
+def test_bench_writes_one_row_per_size(tmp_path, capsys):
+    out = tmp_path / "timings.json"
+    assert main(["bench", "--sizes", "5,8", "--reps", "2", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["steps"] for row in rows] == [5, 8]
+    assert all(row["mean_ms"] > 0 and row["p95_ms"] > 0 for row in rows)
+    assert "8 steps" in capsys.readouterr().out
+
+
+def modules_after_main(argv) -> set[str]:
+    """Run ``cli.main(argv)`` in a fresh interpreter; return the names in
+    ``sys.modules`` once it exits 0."""
+    code = (
+        "import json, sys\n"
+        "from tracefault import cli\n"
+        f"assert cli.main({list(argv)!r}) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = str(Path(tracefault.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_analyze_never_loads_numpy(example1_path, tmp_path):
+    modules = modules_after_main(["analyze", str(example1_path), "--out", str(tmp_path / "a.json")])
+    assert "tracefault.ranking" in modules
+    assert "numpy" not in modules
+
+
+def test_learn_weights_never_loads_numpy(tmp_path, example1_bytes, example2_bytes):
+    validation = tmp_path / "validation"
+    validation.mkdir()
+    (validation / "example1.json").write_bytes(example1_bytes)
+    (validation / "example2.json").write_bytes(example2_bytes)
+    out = tmp_path / "weights.json"
+    modules = modules_after_main(["learn-weights", str(validation), "--out", str(out)])
+    assert json.loads(out.read_text())["evaluated_points"] > 0
+    assert "tracefault.weights" in modules
+    assert "numpy" not in modules

@@ -56,7 +56,7 @@ def test_table_scores_equal_fresh_rank_for_every_weight_vector(sample):
                 key=lambda item: (-item[1], item[0]),
             )
             assert scored == fresh == oracle
-            assert table.tops([weights.as_tuple()])[0] == scored[0][0]
+            assert table.top(weights) == scored[0][0]
 
 
 def test_evaluate_reweighting_matches_per_weight_rank(sample):

@@ -57,8 +57,9 @@ def seed42_rankings() -> dict:
         graph = build_graph(trace)
         graph_hash.update(canonical_json_bytes(graph.to_obj()))
         diagnosis = rank(trace, graph=graph)
-        report_hash.update(canonical_json_bytes(diagnosis.to_obj()))
-        report_hash.update(render_markdown(diagnosis).encode())
+        report = diagnosis.to_obj()
+        report_hash.update(canonical_json_bytes(report))
+        report_hash.update(render_markdown(report).encode())
         rankings[name] = [[v, round(s, 12)] for s, v in diagnosis.ranked]
     return {
         "rankings": rankings,

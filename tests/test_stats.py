@@ -13,7 +13,6 @@ from tracefault.stats import (
     cohens_h,
     format_p_value,
     hit_at_k,
-    linear_fit,
     mcnemar,
     mrr,
     percentile,
@@ -147,11 +146,3 @@ def test_cohens_h_reference_proportions():
     with pytest.raises(ValueError):
         cohens_h(1.2, 0.5)
 
-
-def test_linear_fit_recovers_line():
-    xs = [5, 10, 15, 20, 25]
-    ys = [12.5 * x + 5 for x in xs]
-    slope, intercept, r2 = linear_fit(xs, ys)
-    assert slope == pytest.approx(12.5)
-    assert intercept == pytest.approx(5.0)
-    assert r2 == pytest.approx(1.0)
