@@ -699,7 +699,7 @@ def verify_ground_truth(generated: GeneratedScenario) -> dict:
         )
 
     graph = build_graph(scenario.trace)
-    propagates = err == b or err in descendants(graph, b)
+    propagates = err == b or bool(descendants(graph, (b,))[b] >> err & 1)
     if not propagates:
         raise VerificationFailed(
             f"{scenario.trace.scenario_id}: no causal path from step {b} to "

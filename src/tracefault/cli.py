@@ -10,6 +10,10 @@ idempotent.
 Exit codes: 0 success, 1 failed ``--check`` thresholds, 2 usage errors,
 3 input/output or schema errors. The default generation seed can also be
 set through the ``TRACEFAULT_SEED`` environment variable (flag wins).
+
+Each subcommand imports the modules that only it uses, so ``analyze`` loads
+the model, graph, features and ranking modules and none of the benchmark,
+evaluation, baseline or statistics code.
 """
 
 from __future__ import annotations
@@ -21,24 +25,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .baselines import FixtureAdapter
-from .benchgen import (
-    DEFAULT_SEED,
-    benchmark_manifest,
-    generate_benchmark,
-    make_blind,
-    verify_ground_truth,
-)
 from .errors import SchemaViolation, TracefaultError
-from .evaluation import (
-    DEFAULT_EVAL_SEED,
-    evaluate,
-    render_report,
-    run_checks,
-    runtime_bench,
-    units_from_blind,
-    units_from_scenarios,
-)
 from .features import FeatureConfig
 from .graph import build_graph
 from .model import (
@@ -52,8 +39,6 @@ from .model import (
     serialize_trace,
 )
 from .ranking import DEFAULT_MAX_DEPTH, WeightVector, rank, render_markdown
-from .stats import BOOTSTRAP_DEFAULT_B, BOOTSTRAP_DEFAULT_SEED
-from .weights import GridSpec, grid_search, weights_report
 
 VALIDATION_SEED = 2024
 VALIDATION_PER_DOMAIN = 5
@@ -76,7 +61,7 @@ def _write_json(path: Path, obj) -> None:
     _write_atomic(path, canonical_json_bytes(obj))
 
 
-def _default_seed(value: int | None) -> int:
+def _default_seed(value: int | None, default: int) -> int:
     if value is not None:
         return value
     env = os.environ.get("TRACEFAULT_SEED")
@@ -85,7 +70,7 @@ def _default_seed(value: int | None) -> int:
             return int(env)
         except ValueError:
             raise TracefaultError(f"TRACEFAULT_SEED is not an integer: {env!r}")
-    return DEFAULT_SEED
+    return default
 
 
 def _from_obj(what: str, build, obj):
@@ -120,7 +105,15 @@ def _load_config(path: str | None) -> FeatureConfig:
 
 
 def cmd_generate(args) -> int:
-    seed = _default_seed(args.seed)
+    from .benchgen import (
+        DEFAULT_SEED,
+        benchmark_manifest,
+        generate_benchmark,
+        make_blind,
+        verify_ground_truth,
+    )
+
+    seed = _default_seed(args.seed, DEFAULT_SEED)
     out = Path(args.out)
     scenarios = generate_benchmark(seed=seed)
     for generated in scenarios:
@@ -199,6 +192,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .baselines import FixtureAdapter
+    from .evaluation import (
+        evaluate,
+        render_report,
+        run_checks,
+        units_from_blind,
+        units_from_scenarios,
+    )
+
     bench = Path(args.benchmark)
     if args.blind:
         answers_path = bench / "answers.json"
@@ -214,21 +216,24 @@ def cmd_evaluate(args) -> int:
     else:
         units = units_from_scenarios(_read_scenarios(bench / "scenarios"))
 
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     adapter = None
     if args.llm_fixture:
         adapter = _parse_file(
             Path(args.llm_fixture), lambda data: FixtureAdapter(load_json_object(data))
         )
+    # Seeds and B left unset take the defaults of ``evaluate`` itself.
+    seeds = {
+        "eval_seed": args.eval_seed,
+        "bootstrap_b": args.bootstrap_b,
+        "bootstrap_seed": args.bootstrap_seed,
+    }
     result = evaluate(
         units,
-        methods=methods,
+        methods=args.methods,
         weights=_load_weights(args.weights),
         config=_load_config(args.feature_config),
         max_depth=args.max_depth,
-        eval_seed=args.eval_seed,
-        bootstrap_b=args.bootstrap_b,
-        bootstrap_seed=args.bootstrap_seed,
+        **{name: value for name, value in seeds.items() if value is not None},
         llm_adapter=adapter,
         with_ablations=args.ablations,
         with_sweep=args.sweep,
@@ -255,6 +260,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_learn_weights(args) -> int:
+    from .weights import GridSpec, grid_search, weights_report
+
     scenarios = _read_scenarios(Path(args.validation))
     best, table = grid_search(
         scenarios,
@@ -269,6 +276,8 @@ def cmd_learn_weights(args) -> int:
 
 
 def cmd_blind(args) -> int:
+    from .benchgen import make_blind
+
     scenarios = _read_scenarios(Path(args.benchmark) / "scenarios")
     blind_traces, answers = make_blind(scenarios, args.salt)
     out = Path(args.out_dir)
@@ -280,12 +289,47 @@ def cmd_blind(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    result = runtime_bench(sizes=sizes, reps=args.reps)
+    from .evaluation import runtime_bench
+
+    result = runtime_bench(sizes=args.sizes, reps=args.reps)
     _write_json(Path(args.out), result)
     largest = max(result["rows"], key=lambda row: row["steps"])
-    print(f"sizes {sizes}: {largest['steps']} steps in {largest['mean_ms']:.3f} ms -> {args.out}")
+    print(
+        f"sizes {args.sizes}: {largest['steps']} steps in {largest['mean_ms']:.3f} ms"
+        f" -> {args.out}"
+    )
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    return tuple(_positive_int(size) for size in text.split(","))
+
+
+def _methods(text: str) -> tuple[str, ...]:
+    from .evaluation import METHODS
+
+    methods = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not methods:
+        raise argparse.ArgumentTypeError("no method given")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown method {', '.join(unknown)}; choose from {', '.join(METHODS)}"
+        )
+    if len(set(methods)) < len(methods):
+        # A repeated method would add its rankings to the tables twice.
+        raise argparse.ArgumentTypeError(f"method given twice: {text!r}")
+    return methods
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("trace", help="scenario or blind trace JSON file")
     p_an.add_argument("--weights", default=None, help="weights.json from learn-weights")
     p_an.add_argument("--feature-config", default=None, help="feature config JSON")
-    p_an.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p_an.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH)
     p_an.add_argument("--error-node", type=int, default=None)
     p_an.add_argument("--explain", action="store_true", help="include per-group scores")
     p_an.add_argument("--dump-graph", action="store_true", help="include typed edges")
@@ -316,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ev = sub.add_parser("evaluate", help="run methods over a benchmark directory")
     p_ev.add_argument("benchmark", help="directory produced by generate")
-    p_ev.add_argument("--methods", default="tracefault,random,first,last")
+    p_ev.add_argument("--methods", type=_methods, default="tracefault,random,first,last")
     p_ev.add_argument("--blind", action="store_true", help="evaluate the blind split")
     p_ev.add_argument("--weights", default=None)
     p_ev.add_argument("--feature-config", default=None)
-    p_ev.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-    p_ev.add_argument("--eval-seed", type=int, default=DEFAULT_EVAL_SEED)
-    p_ev.add_argument("--bootstrap-b", type=int, default=BOOTSTRAP_DEFAULT_B)
-    p_ev.add_argument("--bootstrap-seed", type=int, default=BOOTSTRAP_DEFAULT_SEED)
+    p_ev.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH)
+    p_ev.add_argument("--eval-seed", type=int, default=None)
+    p_ev.add_argument("--bootstrap-b", type=_positive_int, default=None)
+    p_ev.add_argument("--bootstrap-seed", type=int, default=None)
     p_ev.add_argument("--llm-fixture", default=None, help="replay fixture JSON")
     p_ev.add_argument("--ablations", action="store_true")
     p_ev.add_argument("--sweep", action="store_true")
@@ -334,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lw = sub.add_parser("learn-weights", help="grid-search weights on a validation set")
     p_lw.add_argument("validation", help="directory of validation scenario files")
     p_lw.add_argument("--feature-config", default=None)
-    p_lw.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    p_lw.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH)
     p_lw.add_argument("--out", default="weights.json")
     p_lw.set_defaults(func=cmd_learn_weights)
 
@@ -345,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bl.set_defaults(func=cmd_blind)
 
     p_be = sub.add_parser("bench", help="runtime scaling across trace sizes")
-    p_be.add_argument("--sizes", default="5,10,15,20,25")
-    p_be.add_argument("--reps", type=int, default=30)
+    p_be.add_argument("--sizes", type=_sizes, default="5,10,15,20,25")
+    p_be.add_argument("--reps", type=_positive_int, default=30)
     p_be.add_argument("--out", default="timings.json")
     p_be.set_defaults(func=cmd_bench)
     return parser

@@ -46,6 +46,7 @@ from .weights import SWEEP_POSITION_VALUES, hit_at_1_by_weights, sweep_rows
 
 MAIN_METHOD = "tracefault"
 HEURISTIC_METHODS = ("random", "first", "last")
+METHODS = (MAIN_METHOD, *HEURISTIC_METHODS, "llm")
 
 DEFAULT_EVAL_SEED = 17
 

@@ -16,7 +16,9 @@ the error and late cascade steps are not early. Reachability is likewise
 oriented toward *concentrated* influence (-1): within a backtraced
 candidate set every node already reaches the error, so a narrow descendant
 cone means the node's effect is specific to the failing path, whereas
-broadcast-style early hubs influence everything and are weak evidence.
+broadcast-style early hubs influence everything and are weak evidence. The
+descendant count is the popcount of the node's bitset from
+``graph.descendants``, built for all candidates in one sweep per trace.
 
 A note on the stated-confidence direction: low declared confidence is
 treated as suspicious (orientation -1). This is a judgment call; flip it in
@@ -236,6 +238,7 @@ def extract_raw(
     max_out = max((graph.out_degree(v) for v in graph.nodes), default=0)
     max_in = max((graph.in_degree(v) for v in graph.nodes), default=0)
     betw = betweenness(graph, members)
+    reach = descendants(graph, members)
 
     output_lengths = [len(s.output) for s in trace.steps]
     mu = sum(output_lengths) / len(output_lengths)
@@ -266,7 +269,7 @@ def extract_raw(
             "out_degree": (graph.out_degree(v) / max_out) if max_out > 0 else 0.0,
             "in_degree": (graph.in_degree(v) / max_in) if max_in > 0 else 0.0,
             "betweenness": betw[v],
-            "reachability": len(descendants(graph, v)) / n,
+            "reachability": reach[v].bit_count() / n,
             "error_keywords": float(_count_matches(out_words, error_set) > 0),
             "uncertainty": float(_count_matches(out_words, uncertainty_set) > 0),
             "length_anomaly": anomaly,

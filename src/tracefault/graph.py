@@ -197,19 +197,33 @@ def backtrace(graph: CausalGraph, error_node: int, max_depth: int = 10) -> Candi
     return CandidateSet(members=frozenset(depth_of), depth_of=depth_of)
 
 
-def descendants(graph: CausalGraph, v: int) -> set[int]:
-    """All nodes forward-reachable from ``v`` (excluding ``v`` itself)."""
-    if v not in graph:
-        raise NodeNotFound(f"node {v} not in graph")
-    seen: set[int] = set()
-    stack = list(graph.successors[v])
-    while stack:
-        u = stack.pop()
-        if u in seen:
-            continue
-        seen.add(u)
-        stack.extend(graph.successors[u])
-    return seen
+def descendants(graph: CausalGraph, nodes: Iterable[int]) -> dict[int, int]:
+    """Descendant bitset of each of ``nodes``: bit ``w`` of the mask of ``v``
+    is set when ``w`` is forward-reachable from ``v`` (``v`` excluded), so
+    ``mask.bit_count()`` is the number of descendants.
+
+    Node ids are a topological order, so one descending sweep sets
+    ``reach[u]`` to the OR, over the successors ``w`` of ``u``, of
+    ``reach[w] | 1 << w``. A mask depends only on larger ids, so the sweep
+    stops below the smallest requested node.
+    """
+    wanted = sorted(set(nodes))
+    for v in wanted:
+        if v not in graph:
+            raise NodeNotFound(f"node {v} not in graph")
+    if not wanted:
+        return {}
+    lowest = wanted[0]
+    # ``closed[u]`` is ``reach[u] | 1 << u``, which saves one OR per edge.
+    closed: dict[int, int] = {}
+    for u in reversed(graph.nodes):
+        if u < lowest:
+            break
+        mask = 1 << u
+        for w in graph.successors[u]:
+            mask |= closed[w]
+        closed[u] = mask
+    return {v: closed[v] ^ (1 << v) for v in wanted}
 
 
 def distances_to(graph: CausalGraph, dst: int) -> dict[int, float]:
@@ -252,9 +266,10 @@ def betweenness(graph: CausalGraph, nodes: Iterable[int] | None = None) -> dict[
     Brandes' accumulation runs on the reversed graph, one BFS per target
     ``t`` over ``predecessors``, which yields each node's dependency on
     ``t``. A pair ``s -> t`` passes through ``v`` only when ``t`` is a
-    descendant of ``v``, so the targets are restricted to the descendants
-    of ``nodes`` and the cost follows the candidates, not the trace. Node
-    ids are a topological order, so one ascending sweep collects them.
+    descendant of ``v``, so the targets are restricted to the nodes
+    reachable from ``nodes`` and the cost follows the candidates, not the
+    trace. Node ids are a topological order, so one ascending sweep
+    collects them as a set, since the targets are then visited one by one.
     """
     wanted = graph.nodes if nodes is None else sorted(nodes)
     for v in wanted:

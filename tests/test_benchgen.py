@@ -65,9 +65,8 @@ def test_trace_lengths_and_buckets(small_batch):
 def test_error_node_is_descendant_of_bug(small_batch):
     for generated in small_batch:
         graph = build_graph(generated.trace)
-        assert generated.scenario.ground_truth.error_node_id in descendants(
-            graph, generated.bug.bug_step
-        )
+        bug = generated.bug.bug_step
+        assert descendants(graph, (bug,))[bug] >> generated.scenario.ground_truth.error_node_id & 1
 
 
 def test_verify_ground_truth_passes_for_generated(small_batch):

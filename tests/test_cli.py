@@ -1,6 +1,7 @@
 """CLI exit codes: 3 for unreadable input (naming the file), 2 for usage errors,
 plus the subcommands' outputs and the modules they load."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import tracefault
 from tracefault import cli, ranking
 from tracefault.cli import main
+from tracefault.errors import TracefaultError
 
 
 def test_analyze_malformed_json_exits_3_naming_the_file(tmp_path, capsys):
@@ -43,6 +45,75 @@ def test_analyze_annotated_scenario(tmp_path, example1_bytes):
     assert main(["analyze", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["candidates"][0]["step_id"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "t.json", "--max-depth", "0"], "--max-depth: must be >= 1"),
+        (["analyze", "t.json", "--max-depth", "-2"], "--max-depth: must be >= 1"),
+        (["evaluate", "b", "--max-depth", "0"], "--max-depth: must be >= 1"),
+        (["learn-weights", "v", "--max-depth", "-1"], "--max-depth: must be >= 1"),
+        (["evaluate", "b", "--bootstrap-b", "0"], "--bootstrap-b: must be >= 1"),
+        (["evaluate", "b", "--methods", "bogus"], "--methods: unknown method bogus"),
+        (["evaluate", "b", "--methods", ","], "--methods: no method given"),
+        (["evaluate", "b", "--methods", "last,last"], "--methods: method given twice"),
+        (["bench", "--reps", "0"], "--reps: must be >= 1"),
+        (["bench", "--sizes", "abc"], "--sizes: not an integer: 'abc'"),
+        (["bench", "--sizes", "5,0"], "--sizes: must be >= 1"),
+    ],
+    ids=[
+        "analyze-max-depth-0",
+        "analyze-max-depth-negative",
+        "evaluate-max-depth-0",
+        "learn-weights-max-depth-negative",
+        "bootstrap-b-0",
+        "unknown-method",
+        "no-method",
+        "repeated-method",
+        "reps-0",
+        "sizes-not-int",
+        "sizes-0",
+    ],
+)
+def test_bad_flag_values_exit_2_with_a_message(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_unset_evaluate_flags_take_the_evaluate_defaults(monkeypatch, tmp_path, example1_bytes):
+    from tracefault import evaluation, stats
+
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
+    seen = []
+    signature = inspect.signature(evaluation.evaluate)
+
+    def stop(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments)
+        raise TracefaultError("stop")
+
+    monkeypatch.setattr(evaluation, "evaluate", stop)
+    assert main(["evaluate", str(tmp_path)]) == 3
+    assert main(["evaluate", str(tmp_path), "--eval-seed", "5", "--bootstrap-b", "7",
+                 "--bootstrap-seed", "9", "--methods", "last, first"]) == 3
+    defaults, given = ({k: call[k] for k in ("methods", "eval_seed", "bootstrap_b",
+                                             "bootstrap_seed", "max_depth")} for call in seen)
+    assert defaults == {
+        "methods": ("tracefault", "random", "first", "last"),
+        "eval_seed": evaluation.DEFAULT_EVAL_SEED,
+        "bootstrap_b": stats.BOOTSTRAP_DEFAULT_B,
+        "bootstrap_seed": stats.BOOTSTRAP_DEFAULT_SEED,
+        "max_depth": ranking.DEFAULT_MAX_DEPTH,
+    }
+    assert given == {"methods": ("last", "first"), "eval_seed": 5, "bootstrap_b": 7,
+                     "bootstrap_seed": 9, "max_depth": ranking.DEFAULT_MAX_DEPTH}
 
 
 def test_evaluate_rejects_removed_jobs_flag(tmp_path):
@@ -185,6 +256,8 @@ def test_analyze_never_loads_numpy(example1_path, tmp_path):
     modules = modules_after_main(["analyze", str(example1_path), "--out", str(tmp_path / "a.json")])
     assert "tracefault.ranking" in modules
     assert "numpy" not in modules
+    for name in ("evaluation", "benchgen", "baselines", "weights", "stats"):
+        assert f"tracefault.{name}" not in modules
 
 
 def test_learn_weights_never_loads_numpy(tmp_path, example1_bytes, example2_bytes):

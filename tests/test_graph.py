@@ -227,10 +227,23 @@ def test_backtrace_missing_node():
         backtrace(chain_graph(3), 3, max_depth=0)
 
 
+def bits(mask):
+    return {w for w in range(mask.bit_length()) if mask >> w & 1}
+
+
 def test_descendants_on_chain():
     graph = chain_graph(5)
-    assert descendants(graph, 2) == {3, 4, 5}
-    assert descendants(graph, 5) == set()
+    assert bits(descendants(graph, (2,))[2]) == {3, 4, 5}
+    assert bits(descendants(graph, (5,))[5]) == set()
+
+
+def test_descendants_of_no_nodes_is_empty():
+    assert descendants(chain_graph(3), ()) == {}
+
+
+def test_descendants_unknown_node():
+    with pytest.raises(NodeNotFound):
+        descendants(chain_graph(3), (2, 4))
 
 
 def test_shortest_path_len():
@@ -301,6 +314,19 @@ def test_betweenness_of_subset_equals_full_restricted(case):
     graph, nodes = case
     full = betweenness(graph)
     assert betweenness(graph, nodes) == {v: full[v] for v in nodes}
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_with_nodes())
+def test_descendants_match_networkx(case):
+    graph, nodes = case
+    digraph = nx.DiGraph()
+    digraph.add_nodes_from(graph.nodes)
+    digraph.add_edges_from((src, dst) for src, dst, _ in graph.edges)
+    masks = descendants(graph, nodes)
+    assert set(masks) == nodes
+    for v in nodes:
+        assert bits(masks[v]) == nx.descendants(digraph, v)
 
 
 def test_betweenness_unknown_node():
