@@ -127,3 +127,11 @@ def test_baseline_agreeing_everywhere_is_reported_not_raised(units):
     assert (sig["chi2"], sig["p_value"], sig["p_display"]) == (0.0, 1.0, "no discordant pairs")
     assert any(f.startswith("mcnemar tracefault_vs_last") for f in run_checks(result))
     assert "no discordant pairs" in render_report(result)
+
+
+def test_llm_errors_cover_every_miss(units, llm_adapter):
+    result = evaluate(units, methods=("llm",), llm_adapter=llm_adapter, bootstrap_b=10)
+    misses = sum(llm_adapter.completions[u.trace.scenario_id] != str(u.root_cause) for u in units)
+    assert result["llm_fallbacks"] == 0
+    assert sum(result["llm_error_analysis"].values()) == misses
+    assert result["methods"]["llm"]["hit_at_1"] == (len(units) - misses) / len(units)

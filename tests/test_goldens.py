@@ -12,6 +12,12 @@ whole report, the canonical JSON of ``to_obj()`` followed by the
   with ``produces``/``consumes`` removed, so its data edges come from the
   identifier scan.
 
+It also holds ``evaluation_sha256``, a digest of one seed-42 ``evaluate`` over
+every method with ablations and the sweep: the canonical JSON of its result
+without ``component_timings_ms``, followed by its ``render_report`` text. The
+``llm`` method replays the simulated fixture of ``conftest``, with six
+completions spoiled so that its fallback path is pinned too.
+
 After an intended change of results, rewrite the file with
 ``PYTHONPATH=src python tests/test_goldens.py`` and say why in the change.
 """
@@ -22,8 +28,11 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+from conftest import simulated_llm_fixture
+from tracefault.baselines import FixtureAdapter
 from tracefault.benchgen import generate_benchmark, make_bench_trace
 from tracefault.cli import VALIDATION_PER_DOMAIN, VALIDATION_SEED
+from tracefault.evaluation import METHODS, evaluate, render_report, units_from_scenarios
 from tracefault.graph import build_graph
 from tracefault.model import DOMAINS, canonical_json_bytes
 from tracefault.ranking import rank, render_markdown
@@ -68,9 +77,32 @@ def seed42_rankings() -> dict:
     }
 
 
-def test_seed42_rankings_match_golden():
+def seed42_evaluation_sha256(benchmark) -> str:
+    completions = simulated_llm_fixture(benchmark)
+    spoiled = sorted(completions)
+    for scenario_id in spoiled[:5]:
+        completions[scenario_id] = "no idea"
+    completions[spoiled[5]] = "99"  # no trace has 99 steps
+    result = evaluate(
+        units_from_scenarios([g.scenario for g in benchmark]),
+        methods=METHODS,
+        llm_adapter=FixtureAdapter(completions),
+        with_ablations=True,
+        with_sweep=True,
+    )
+    del result["component_timings_ms"]
+    digest = hashlib.sha256(canonical_json_bytes(result))
+    digest.update(render_report(result).encode())
+    return digest.hexdigest()
+
+
+def load_golden() -> dict:
     with gzip.open(GOLDEN, "rt", encoding="utf-8") as handle:
-        golden = json.load(handle)
+        return json.load(handle)
+
+
+def test_seed42_rankings_match_golden():
+    golden = load_golden()
     actual = seed42_rankings()
     assert actual["rankings"].keys() == golden["rankings"].keys()
     changed = [k for k, v in golden["rankings"].items() if actual["rankings"][k] != v]
@@ -79,7 +111,13 @@ def test_seed42_rankings_match_golden():
     assert actual["report_sha256"] == golden["report_sha256"]
 
 
+def test_seed42_evaluation_matches_golden(seed42_benchmark):
+    assert seed42_evaluation_sha256(seed42_benchmark) == load_golden()["evaluation_sha256"]
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_bytes(gzip.compress(canonical_json_bytes(seed42_rankings()), mtime=0))
+    golden = seed42_rankings()
+    golden["evaluation_sha256"] = seed42_evaluation_sha256(generate_benchmark(seed=42))
+    GOLDEN.write_bytes(gzip.compress(canonical_json_bytes(golden), mtime=0))
     print(f"wrote {GOLDEN}")
