@@ -1,7 +1,8 @@
-"""Comparison methods under a common prediction interface.
+"""Comparison methods, each a full ordering of the trace's steps.
 
-Every method emits a full permutation of the trace's step ids (rank 1
-first), so Hit@k and reciprocal ranks are defined for all of them:
+Every method returns a permutation of the trace's step ids as a tuple,
+rank 1 first, so Hit@k and reciprocal ranks are defined for all of them;
+the rank of step ``v`` is ``ordering.index(v) + 1``:
 
 * random       -- seeded uniform shuffle, deterministic per (scenario, seed).
 * first_node   -- step 1 first, remainder in step order.
@@ -10,7 +11,8 @@ first), so Hit@k and reciprocal ranks are defined for all of them:
   steps after the error come last.
 * llm          -- prompt an external completion adapter (or a recorded
   fixture) for the root-cause step number; the named step is promoted to
-  rank 1 and the rest follow in step order.
+  rank 1 and the rest follow in step order. It also says whether it fell
+  back to the last-node ordering on an unusable completion.
 
 The external adapter protocol is one process invocation per trace: prompt
 on stdin (UTF-8), completion on stdout, exit code 0. Fixture files are JSON
@@ -23,18 +25,9 @@ from __future__ import annotations
 import random
 import re
 import subprocess
-from dataclasses import dataclass, field
 
 from .errors import AdapterFailure, SchemaViolation, UnparseableCompletion
 from .model import ExecutionTrace
-
-LLM_DECODING_PARAMS = {
-    "temperature": 0.0,
-    "max_tokens": 1024,
-    "top_p": 1.0,
-    "frequency_penalty": 0.0,
-    "presence_penalty": 0.0,
-}
 
 PROMPT_TEMPLATE = """You are an expert debugger analyzing a multi-agent system
 execution trace. The system encountered an error.
@@ -56,43 +49,27 @@ Root cause step:
 """
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """A method's full ordering over the trace's steps, rank 1 first."""
-
-    method: str
-    ordering: tuple[int, ...]
-    fallback: bool = False
-    meta: dict = field(default_factory=dict, compare=False)
-
-    def rank_of(self, step_id: int) -> int:
-        return self.ordering.index(step_id) + 1
-
-
-def random_baseline(trace: ExecutionTrace, seed: int) -> Prediction:
+def random_baseline(trace: ExecutionTrace, seed: int) -> tuple[int, ...]:
     """Uniform random permutation, deterministic per (scenario id, seed)."""
     rng = random.Random(f"random|{seed}|{trace.scenario_id}")
     ordering = [s.step_id for s in trace.steps]
     rng.shuffle(ordering)
-    return Prediction(method="random", ordering=tuple(ordering))
+    return tuple(ordering)
 
 
-def first_node_baseline(trace: ExecutionTrace) -> Prediction:
-    ordering = tuple(s.step_id for s in trace.steps)
-    return Prediction(method="first", ordering=ordering)
+def first_node_baseline(trace: ExecutionTrace) -> tuple[int, ...]:
+    return tuple(s.step_id for s in trace.steps)
 
 
-def last_node_baseline(trace: ExecutionTrace, error_node: int | None = None) -> Prediction:
+def last_node_baseline(trace: ExecutionTrace, error_node: int | None = None) -> tuple[int, ...]:
     """The node immediately before the error first, then walking backward.
 
     The root cause cannot come after the error, so the error node follows
     the steps before it and any later steps rank last.
     """
     error = error_node if error_node is not None else len(trace)
-    before = list(range(error - 1, 0, -1))
     after = [s.step_id for s in trace.steps if s.step_id > error]
-    ordering = tuple(before + [error] + after)
-    return Prediction(method="last", ordering=ordering)
+    return (*range(error - 1, 0, -1), error, *after)
 
 
 def render_trace(trace: ExecutionTrace) -> str:
@@ -175,16 +152,15 @@ def llm_baseline(
     adapter,
     error_node: int | None = None,
     strict: bool = True,
-) -> Prediction:
+) -> tuple[tuple[int, ...], bool]:
     """Ask the adapter for the root-cause step; promote it to rank 1.
 
-    An unparseable completion raises in strict mode; otherwise the
-    prediction falls back to the last-node ordering with ``fallback`` set.
+    Returns ``(ordering, fell_back)``. An unparseable completion raises in
+    strict mode; otherwise the ordering falls back to the last-node one and
+    ``fell_back`` is true.
     """
     error = error_node if error_node is not None else len(trace)
-    prompt = build_prompt(trace, error)
-    completion = adapter.complete(trace, prompt)
-    meta = {"decoding": dict(LLM_DECODING_PARAMS)}
+    completion = adapter.complete(trace, build_prompt(trace, error))
     step_ids = [s.step_id for s in trace.steps]
     try:
         choice = parse_completion(completion)
@@ -196,12 +172,8 @@ def llm_baseline(
     except UnparseableCompletion:
         if strict:
             raise
-        fallback = last_node_baseline(trace, error)
-        return Prediction(
-            method="llm", ordering=fallback.ordering, fallback=True, meta=meta
-        )
-    ordering = tuple([choice] + [v for v in step_ids if v != choice])
-    return Prediction(method="llm", ordering=ordering, meta=meta)
+        return last_node_baseline(trace, error), True
+    return (choice, *(v for v in step_ids if v != choice)), False
 
 
 def classify_llm_error(predicted: int, root: int, error_node: int) -> str:

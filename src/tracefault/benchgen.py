@@ -717,14 +717,11 @@ def blind_id(scenario_id: str, salt: str) -> str:
     return hashlib.sha256(f"{salt}|{scenario_id}".encode("utf-8")).hexdigest()[:12]
 
 
-def make_blind(
-    scenarios: list[GeneratedScenario] | list[Scenario], salt: str
-) -> tuple[list[ExecutionTrace], dict]:
+def make_blind(scenarios: list[Scenario], salt: str) -> tuple[list[ExecutionTrace], dict]:
     """Anonymize ids and split ground truth into a separate answer key."""
     blind_traces: list[ExecutionTrace] = []
     answers: dict[str, dict] = {}
-    for item in scenarios:
-        scenario = item.scenario if isinstance(item, GeneratedScenario) else item
+    for scenario in scenarios:
         anon = blind_id(scenario.trace.scenario_id, salt)
         blind_traces.append(replace(scenario.trace, scenario_id=anon))
         gt = scenario.ground_truth

@@ -8,8 +8,7 @@ file then rename) and no subcommand mutates its inputs, so reruns are
 idempotent.
 
 Exit codes: 0 success, 1 failed ``--check`` thresholds, 2 usage errors,
-3 input/output or schema errors. The default generation seed can also be
-set through the ``TRACEFAULT_SEED`` environment variable (flag wins).
+3 input/output or schema errors.
 
 Each subcommand imports the modules that only it uses, so ``analyze`` loads
 the model, graph, features and ranking modules and none of the benchmark,
@@ -61,18 +60,6 @@ def _write_json(path: Path, obj) -> None:
     _write_atomic(path, canonical_json_bytes(obj))
 
 
-def _default_seed(value: int | None, default: int) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("TRACEFAULT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise TracefaultError(f"TRACEFAULT_SEED is not an integer: {env!r}")
-    return default
-
-
 def _from_obj(what: str, build, obj):
     """``build(obj)``, with a missing key or a bad value as a schema error."""
     try:
@@ -104,16 +91,26 @@ def _load_config(path: str | None) -> FeatureConfig:
     return _parse_file(Path(path), parse)
 
 
+def _write_blind(out: Path, scenarios, salt: str) -> int:
+    """Write the blind traces and their answer key; return how many."""
+    from .benchgen import make_blind
+
+    blind_traces, answers = make_blind(scenarios, salt)
+    for trace in blind_traces:
+        _write_atomic(out / "blind" / f"{trace.scenario_id}.json", serialize_trace(trace))
+    _write_json(out / "answers.json", answers)
+    return len(blind_traces)
+
+
 def cmd_generate(args) -> int:
     from .benchgen import (
         DEFAULT_SEED,
         benchmark_manifest,
         generate_benchmark,
-        make_blind,
         verify_ground_truth,
     )
 
-    seed = _default_seed(args.seed, DEFAULT_SEED)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     out = Path(args.out)
     scenarios = generate_benchmark(seed=seed)
     for generated in scenarios:
@@ -124,10 +121,7 @@ def cmd_generate(args) -> int:
             out / "scenarios" / f"{scenario.trace.scenario_id}.json",
             serialize_scenario(scenario),
         )
-    blind_traces, answers = make_blind(scenarios, args.salt)
-    for trace in blind_traces:
-        _write_atomic(out / "blind" / f"{trace.scenario_id}.json", serialize_trace(trace))
-    _write_json(out / "answers.json", answers)
+    _write_blind(out, [g.scenario for g in scenarios], args.salt)
 
     # Held-out split under a distinct seed; never part of the benchmark.
     validation_seed = VALIDATION_SEED if seed == DEFAULT_SEED else seed + VALIDATION_SEED
@@ -276,15 +270,10 @@ def cmd_learn_weights(args) -> int:
 
 
 def cmd_blind(args) -> int:
-    from .benchgen import make_blind
-
-    scenarios = _read_scenarios(Path(args.benchmark) / "scenarios")
-    blind_traces, answers = make_blind(scenarios, args.salt)
-    out = Path(args.out_dir)
-    for trace in blind_traces:
-        _write_atomic(out / "blind" / f"{trace.scenario_id}.json", serialize_trace(trace))
-    _write_json(out / "answers.json", answers)
-    print(f"blinded {len(blind_traces)} scenarios -> {out}")
+    bench = Path(args.benchmark)
+    out = bench if args.out_dir is None else Path(args.out_dir)
+    count = _write_blind(out, _read_scenarios(bench / "scenarios"), args.salt)
+    print(f"blinded {count} scenarios -> {out}")
     return 0
 
 
@@ -385,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bl = sub.add_parser("blind", help="anonymize a benchmark and split answers")
     p_bl.add_argument("benchmark", help="directory containing scenarios/")
     p_bl.add_argument("--salt", default="tracefault")
-    p_bl.add_argument("--out-dir", default=None)
+    p_bl.add_argument("--out-dir", default=None, help="default: the benchmark directory")
     p_bl.set_defaults(func=cmd_blind)
 
     p_be = sub.add_parser("bench", help="runtime scaling across trace sizes")
@@ -399,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "blind" and args.out_dir is None:
-        args.out_dir = args.benchmark
     try:
         return args.func(args)
     except TracefaultError as exc:

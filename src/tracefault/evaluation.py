@@ -27,7 +27,7 @@ from .baselines import (
     llm_baseline,
     random_baseline,
 )
-from .benchgen import GeneratedScenario, make_bench_trace
+from .benchgen import make_bench_trace
 from .errors import DegenerateTable, EmptyBenchmark, MissingAnswers, SchemaViolation
 from .features import FeatureConfig
 from .model import ExecutionTrace
@@ -97,8 +97,7 @@ def _bucket_of(root: int) -> str:
 
 def units_from_scenarios(scenarios) -> list[EvalUnit]:
     units = []
-    for item in scenarios:
-        scenario = item.scenario if isinstance(item, GeneratedScenario) else item
+    for scenario in scenarios:
         gt = scenario.ground_truth
         units.append(
             EvalUnit(
@@ -143,34 +142,27 @@ def units_from_blind(blind_traces, answers: dict) -> list[EvalUnit]:
     return units
 
 
-def _metric_block(ranks, bootstrap_b, bootstrap_seed) -> dict:
-    outcomes = [1 if r == 1 else 0 for r in ranks]
-    lo, hi = bootstrap_ci(outcomes, b=bootstrap_b, seed=bootstrap_seed)
+def _accuracy(ranks) -> dict:
     return {
         "n": len(ranks),
         "hit_at_1": hit_at_k(ranks, 1),
         "hit_at_3": hit_at_k(ranks, 3),
         "hit_at_5": hit_at_k(ranks, 5),
         "mrr": mrr(ranks),
-        "hit_at_1_ci95": [lo, hi],
     }
+
+
+def _metric_block(ranks, bootstrap_b, bootstrap_seed) -> dict:
+    outcomes = [1 if r == 1 else 0 for r in ranks]
+    lo, hi = bootstrap_ci(outcomes, b=bootstrap_b, seed=bootstrap_seed)
+    return {**_accuracy(ranks), "hit_at_1_ci95": [lo, hi]}
 
 
 def _strata_block(units, ranks, key_fn) -> dict:
     strata: dict[str, list] = {}
     for unit, r in zip(units, ranks):
         strata.setdefault(key_fn(unit), []).append(r)
-    out = {}
-    for label in sorted(strata):
-        rs = strata[label]
-        out[label] = {
-            "n": len(rs),
-            "hit_at_1": hit_at_k(rs, 1),
-            "hit_at_3": hit_at_k(rs, 3),
-            "hit_at_5": hit_at_k(rs, 5),
-            "mrr": mrr(rs),
-        }
-    return out
+    return {label: _accuracy(strata[label]) for label in sorted(strata)}
 
 
 def _length_bucket(unit: EvalUnit) -> str:
@@ -200,51 +192,42 @@ def evaluate(
     weights = weights or WeightVector()
     config = config or FeatureConfig()
 
+    orderings = {
+        "random": lambda trace: random_baseline(trace, eval_seed),
+        "first": first_node_baseline,
+        "last": last_node_baseline,
+    }
     ranks_by_method: dict[str, list[int | None]] = {}
     tables = []
     timings: list[dict[str, float]] = []
     llm_errors: dict[str, int] = {}
     llm_fallbacks = 0
 
+    # Every method is anchored at the final step; answers are consulted only
+    # for scoring, which keeps blind and annotated runs identical.
     for method in methods:
+        ranks: list[int | None] = []
         if method == MAIN_METHOD:
-            # Anchored at the final step in every mode; answers are not
-            # consulted, which keeps blind and annotated runs identical.
-            ranks_by_method[method] = []
             for unit in units:
                 diagnosis = rank(unit.trace, weights, config, max_depth)
-                ranks_by_method[method].append(diagnosis.rank_of(unit.root_cause))
+                ranks.append(diagnosis.rank_of(unit.root_cause))
                 timings.append(diagnosis.timings_ms)
                 tables.append(diagnosis.table)
-        elif method == "random":
-            ranks_by_method[method] = [
-                random_baseline(u.trace, eval_seed).rank_of(u.root_cause) for u in units
-            ]
-        elif method == "first":
-            ranks_by_method[method] = [
-                first_node_baseline(u.trace).rank_of(u.root_cause) for u in units
-            ]
-        elif method == "last":
-            ranks_by_method[method] = [
-                last_node_baseline(u.trace, len(u.trace)).rank_of(u.root_cause)
-                for u in units
-            ]
+        elif method in orderings:
+            ranks = [orderings[method](u.trace).index(u.root_cause) + 1 for u in units]
         elif method == "llm":
             if llm_adapter is None:
                 raise MissingAnswers("llm method requested without an adapter")
-            ranks: list[int | None] = []
             for u in units:
-                pred = llm_baseline(u.trace, llm_adapter, len(u.trace), strict=False)
-                ranks.append(pred.rank_of(u.root_cause))
-                if pred.fallback:
-                    llm_fallbacks += 1
-                top = pred.ordering[0]
-                if top != u.root_cause:
-                    label = classify_llm_error(top, u.root_cause, u.error_node)
+                ordering, fell_back = llm_baseline(u.trace, llm_adapter, strict=False)
+                ranks.append(ordering.index(u.root_cause) + 1)
+                llm_fallbacks += fell_back
+                if ordering[0] != u.root_cause:
+                    label = classify_llm_error(ordering[0], u.root_cause, u.error_node)
                     llm_errors[label] = llm_errors.get(label, 0) + 1
-            ranks_by_method[method] = ranks
         else:
             raise ValueError(f"unknown method {method!r}")
+        ranks_by_method[method] = ranks
 
     metrics = {
         method: _metric_block(ranks, bootstrap_b, bootstrap_seed)
@@ -386,32 +369,20 @@ def runtime_bench(
     weights = weights or WeightVector()
     config = config or FeatureConfig()
     rows = []
-    component_totals: dict[str, list[float]] = {}
     for n in sizes:
         trace = make_bench_trace(n)
         for _ in range(warmup):
             rank(trace, weights=weights, config=config)
         samples = []
-        for rep in range(reps):
+        for _ in range(reps):
             start = time.perf_counter()
-            diagnosis = rank(trace, weights=weights, config=config)
+            rank(trace, weights=weights, config=config)
             samples.append((time.perf_counter() - start) * 1e3)
-            for name, ms in diagnosis.timings_ms.items():
-                component_totals.setdefault(name, []).append(ms)
         samples.sort()
         mean_ms = sum(samples) / len(samples)
         p95 = samples[min(len(samples) - 1, int(round(0.95 * (len(samples) - 1))))]
         rows.append({"steps": n, "mean_ms": mean_ms, "p95_ms": p95})
-    return {
-        "rows": rows,
-        "components_ms": {
-            name: {
-                "mean": sum(vals) / len(vals),
-                "std": pstdev(vals),
-            }
-            for name, vals in sorted(component_totals.items())
-        },
-    }
+    return {"rows": rows}
 
 
 def render_report(result: dict) -> str:

@@ -21,7 +21,7 @@ def seed42_benchmark():
 
 @pytest.fixture(scope="session")
 def units(seed42_benchmark):
-    return units_from_scenarios(seed42_benchmark)
+    return units_from_scenarios([g.scenario for g in seed42_benchmark])
 
 
 def simulated_llm_fixture(benchmark, accuracy=0.66, seed=7) -> dict[str, str]:

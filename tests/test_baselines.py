@@ -10,7 +10,6 @@ import pytest
 from tracefault.baselines import (
     CommandAdapter,
     FixtureAdapter,
-    Prediction,
     build_prompt,
     classify_llm_error,
     first_node_baseline,
@@ -33,9 +32,9 @@ def test_random_baseline_is_seeded_permutation(trace):
     one = random_baseline(trace, seed=5)
     two = random_baseline(trace, seed=5)
     other = random_baseline(trace, seed=6)
-    assert one.ordering == two.ordering
-    assert sorted(one.ordering) == [1, 2, 3, 4, 5]
-    assert one.ordering != other.ordering or len(trace) == 1
+    assert one == two
+    assert sorted(one) == [1, 2, 3, 4, 5]
+    assert one != other or len(trace) == 1
 
 
 def test_random_single_node_trace(trace):
@@ -47,35 +46,30 @@ def test_random_single_node_trace(trace):
         agents=(trace.steps[0].agent,),
         steps=trace.steps[:1],
     )
-    assert random_baseline(single, seed=0).ordering == (1,)
+    assert random_baseline(single, seed=0) == (1,)
 
 
 def test_first_node_baseline(trace):
-    pred = first_node_baseline(trace)
-    assert pred.ordering == (1, 2, 3, 4, 5)
+    assert first_node_baseline(trace) == (1, 2, 3, 4, 5)
 
 
 def test_last_node_baseline_walks_backward(trace):
-    pred = last_node_baseline(trace, error_node=5)
-    assert pred.ordering == (4, 3, 2, 1, 5)
+    assert last_node_baseline(trace, error_node=5) == (4, 3, 2, 1, 5)
     # Steps after a mid-trace error rank below the error itself.
-    pred = last_node_baseline(trace, error_node=3)
-    assert pred.ordering == (2, 1, 3, 4, 5)
+    assert last_node_baseline(trace, error_node=3) == (2, 1, 3, 4, 5)
 
 
 def test_last_node_degenerate_error_at_first_step(trace):
-    pred = last_node_baseline(trace, error_node=1)
-    assert pred.ordering[0] == 1
+    assert last_node_baseline(trace, error_node=1)[0] == 1
 
 
 def test_predictions_are_full_permutations(trace):
-    for pred in (
+    for ordering in (
         random_baseline(trace, 1),
         first_node_baseline(trace),
         last_node_baseline(trace, 5),
     ):
-        assert sorted(pred.ordering) == [1, 2, 3, 4, 5]
-        assert pred.rank_of(3) == pred.ordering.index(3) + 1
+        assert sorted(ordering) == [1, 2, 3, 4, 5]
 
 
 def test_prompt_contains_trace_and_error(trace):
@@ -98,10 +92,9 @@ def test_parse_completion_strict():
 def test_fixture_adapter_roundtrip(trace):
     adapter = FixtureAdapter({trace.scenario_id: "3"})
     pred = llm_baseline(trace, adapter)
-    assert pred.ordering[0] == 3
-    assert pred.ordering == (3, 1, 2, 4, 5)
-    assert not pred.fallback
-    assert pred.meta["decoding"]["temperature"] == 0.0
+    assert pred[0][0] == 3
+    assert pred[0] == (3, 1, 2, 4, 5)
+    assert not pred[1]
 
 
 def test_fixture_adapter_missing_scenario(trace):
@@ -118,8 +111,8 @@ def test_unparseable_strict_raises(trace):
 def test_unparseable_lenient_falls_back_to_last(trace):
     adapter = FixtureAdapter({trace.scenario_id: "no idea"})
     pred = llm_baseline(trace, adapter, strict=False)
-    assert pred.fallback
-    assert pred.ordering == last_node_baseline(trace, 5).ordering
+    assert pred[1]
+    assert pred[0] == last_node_baseline(trace, 5)
 
 
 def test_out_of_range_step_number(trace):
@@ -127,7 +120,7 @@ def test_out_of_range_step_number(trace):
     with pytest.raises(UnparseableCompletion, match="names step 42, outside the 5-step trace"):
         llm_baseline(trace, adapter, strict=True)
     pred = llm_baseline(trace, adapter, strict=False)
-    assert pred.fallback
+    assert pred[1]
 
 
 def test_command_adapter_round_trip(tmp_path, trace):
@@ -139,7 +132,7 @@ def test_command_adapter_round_trip(tmp_path, trace):
     )
     adapter = CommandAdapter([sys.executable, str(script)])
     pred = llm_baseline(trace, adapter)
-    assert pred.ordering[0] == 3
+    assert pred[0][0] == 3
 
 
 def test_command_adapter_failure(tmp_path, trace):
@@ -154,7 +147,7 @@ def test_fixture_adapter_from_file(tmp_path, trace):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps({trace.scenario_id: "2"}))
     adapter = FixtureAdapter(load_json_object(path.read_bytes()))
-    assert llm_baseline(trace, adapter).ordering[0] == 2
+    assert llm_baseline(trace, adapter)[0][0] == 2
 
 
 def test_error_classification_categories():

@@ -137,7 +137,7 @@ def test_mutations_differ_by_kind(small_batch):
 
 
 def test_blind_split_scrubs_and_joins(small_batch):
-    blind_traces, answers = make_blind(small_batch, salt="s3cret")
+    blind_traces, answers = make_blind([g.scenario for g in small_batch], salt="s3cret")
     assert len(blind_traces) == len(small_batch) == len(answers)
     for trace, generated in zip(blind_traces, small_batch):
         data = serialize_trace(trace)
@@ -153,8 +153,8 @@ def test_blind_split_scrubs_and_joins(small_batch):
 
 
 def test_blind_ids_change_with_salt(small_batch):
-    one, _ = make_blind(small_batch[:3], salt="a")
-    two, _ = make_blind(small_batch[:3], salt="b")
+    one, _ = make_blind([g.scenario for g in small_batch[:3]], salt="a")
+    two, _ = make_blind([g.scenario for g in small_batch[:3]], salt="b")
     assert {t.scenario_id for t in one}.isdisjoint({t.scenario_id for t in two})
 
 

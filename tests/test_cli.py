@@ -229,7 +229,9 @@ def test_analyze_markdown_keeps_the_group_table(example1_path, capsys, explain):
 def test_bench_writes_one_row_per_size(tmp_path, capsys):
     out = tmp_path / "timings.json"
     assert main(["bench", "--sizes", "5,8", "--reps", "2", "--out", str(out)]) == 0
-    rows = json.loads(out.read_text())["rows"]
+    result = json.loads(out.read_text())
+    assert list(result) == ["rows"]
+    rows = result["rows"]
     assert [row["steps"] for row in rows] == [5, 8]
     assert all(row["mean_ms"] > 0 and row["p95_ms"] > 0 for row in rows)
     assert "8 steps" in capsys.readouterr().out
