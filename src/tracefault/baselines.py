@@ -9,22 +9,19 @@ the rank of step ``v`` is ``ordering.index(v) + 1``:
 * last_node    -- the step immediately before the error first, walking
   backward; the error node comes right after the steps before it, and any
   steps after the error come last.
-* llm          -- prompt an external completion adapter (or a recorded
-  fixture) for the root-cause step number; the named step is promoted to
+* llm          -- prompt a completion adapter, such as the fixture replay
+  below, for the root-cause step number; the named step is promoted to
   rank 1 and the rest follow in step order. It also says whether it fell
   back to the last-node ordering on an unusable completion.
 
-The external adapter protocol is one process invocation per trace: prompt
-on stdin (UTF-8), completion on stdout, exit code 0. Fixture files are JSON
-maps from scenario id to completion string, which makes CI runs replayable
-without credentials or network access.
+Fixture files are JSON maps from scenario id to completion string, which
+makes CI runs replayable without credentials or network access.
 """
 
 from __future__ import annotations
 
 import random
 import re
-import subprocess
 
 from .errors import AdapterFailure, SchemaViolation, UnparseableCompletion
 from .model import ExecutionTrace
@@ -121,30 +118,6 @@ class FixtureAdapter:
             raise AdapterFailure(
                 f"fixture has no completion for scenario {trace.scenario_id!r}"
             ) from None
-
-
-class CommandAdapter:
-    """Run an external command with the prompt on stdin."""
-
-    def __init__(self, argv: list[str], timeout: float = 120.0):
-        self.argv = list(argv)
-        self.timeout = timeout
-
-    def complete(self, trace: ExecutionTrace, prompt: str) -> str:
-        try:
-            proc = subprocess.run(
-                self.argv,
-                input=prompt.encode("utf-8"),
-                capture_output=True,
-                timeout=self.timeout,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise AdapterFailure(f"adapter command failed: {exc}") from None
-        if proc.returncode != 0:
-            raise AdapterFailure(
-                f"adapter exited {proc.returncode}: {proc.stderr.decode(errors='replace')[:200]}"
-            )
-        return proc.stdout.decode("utf-8", errors="replace")
 
 
 def llm_baseline(

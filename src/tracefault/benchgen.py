@@ -741,8 +741,6 @@ def benchmark_manifest(scenarios: list[GeneratedScenario], seed: int) -> dict:
     by_type: dict[str, int] = {}
     by_bucket: dict[str, int] = {}
     lengths: list[int] = []
-    node_counts: list[int] = []
-    edge_counts: list[int] = []
     kind_totals = dict.fromkeys(EDGE_KINDS, 0)
     for gen in scenarios:
         trace = gen.trace
@@ -750,12 +748,9 @@ def benchmark_manifest(scenarios: list[GeneratedScenario], seed: int) -> dict:
         by_type[gen.bug.bug_type] = by_type.get(gen.bug.bug_type, 0) + 1
         by_bucket[gen.bug.location_bucket] = by_bucket.get(gen.bug.location_bucket, 0) + 1
         lengths.append(len(trace))
-        graph = build_graph(trace)
-        node_counts.append(len(graph.nodes))
-        edge_counts.append(len(graph.edges))
-        for kind, count in graph.edge_kind_counts().items():
+        for kind, count in build_graph(trace).edge_kind_counts().items():
             kind_totals[kind] += count
-    total_edges = sum(kind_totals.values()) or 1
+    total_edges = sum(kind_totals.values())
     n = len(scenarios) or 1
     return {
         "generator_version": GENERATOR_VERSION,
@@ -766,9 +761,9 @@ def benchmark_manifest(scenarios: list[GeneratedScenario], seed: int) -> dict:
         "bug_buckets": dict(sorted(by_bucket.items())),
         "trace_length_min": min(lengths) if lengths else 0,
         "trace_length_max": max(lengths) if lengths else 0,
-        "mean_nodes": sum(node_counts) / n,
-        "mean_edges": sum(edge_counts) / n,
+        "mean_nodes": sum(lengths) / n,
+        "mean_edges": total_edges / n,
         "edge_kind_mix": {
-            kind: count / total_edges for kind, count in sorted(kind_totals.items())
+            kind: count / (total_edges or 1) for kind, count in sorted(kind_totals.items())
         },
     }

@@ -17,8 +17,9 @@ oriented toward *concentrated* influence (-1): within a backtraced
 candidate set every node already reaches the error, so a narrow descendant
 cone means the node's effect is specific to the failing path, whereas
 broadcast-style early hubs influence everything and are weak evidence. The
-descendant count is the popcount of the node's bitset from
-``graph.descendants``, built for all candidates in one sweep per trace.
+descendant count is the popcount of the node's mask from
+``graph.descendants``, which ORs the graph's successor bitsets for all
+candidates in one sweep per trace.
 
 A note on the stated-confidence direction: low declared confidence is
 treated as suspicious (orientation -1). This is a judgment call; flip it in

@@ -11,16 +11,22 @@ Three edge kinds are derived from a trace:
   names overlap; when a step carries no produces/consumes lists, a
   conservative identifier scan of its text is used instead.
 
-An edge is a plain ``(src, dst, kind)`` tuple. All edges satisfy
-``src < dst`` (chronological order), which makes every graph acyclic by
-construction. Construction and queries are pure functions on immutable
-inputs.
+All edges satisfy ``src < dst`` (chronological order), so every graph is
+acyclic and step ids are a topological order. The graph is bitsets only:
+bit ``u`` of ``parents[k][v]`` is an ``EDGE_KINDS[k]`` edge ``u -> v``, and
+``preds``/``succs`` are the unions over kinds. Degrees are popcounts,
+traversals OR frontier masks, and ``edges`` tuples are derived on access.
+
+Betweenness is Brandes' algorithm over predecessor bits in ascending order,
+as over sorted adjacency lists, so its float sums are unchanged. It skips a
+target whose ancestors are all direct predecessors: that reverse BFS has one
+layer, so every ``delta`` stays ``0.0`` and ``x + 0.0 == x`` keeps each
+score bit-identical. On dense text-scanned traces every target is skipped.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -45,54 +51,67 @@ _STOP_WORDS = frozenset(
 
 @dataclass(frozen=True)
 class CausalGraph:
-    """DAG over step ids: ``(src, dst, kind)`` edges, one per kind and pair,
-    ordered by ``(src, dst, EDGE_KINDS order)``, plus adjacency indexes."""
+    """DAG over step ids held as bitsets (see module docstring)."""
 
     nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int, str], ...]
-    successors: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
-    predecessors: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
+    parents: tuple[dict[int, int], ...] = field(repr=False)
+    preds: dict[int, int] = field(repr=False, compare=False)
+    succs: dict[int, int] = field(repr=False, compare=False)
 
     @staticmethod
-    def from_edges(nodes: list[int], edges: list[tuple[int, int, str]]) -> "CausalGraph":
-        """Build the graph from ``(src, dst, kind)`` tuples.
+    def from_parents(nodes: Iterable[int], parents: tuple[dict[int, int], ...]) -> "CausalGraph":
+        """Build the graph from per-kind parent masks keyed by every node."""
+        nodes = tuple(sorted(nodes))
+        sequential, communication, data = parents
+        preds = {v: sequential[v] | communication[v] | data[v] for v in nodes}
+        succs = dict.fromkeys(nodes, 0)
+        for v in nodes:
+            bit = 1 << v
+            for u in _bits(preds[v]):
+                succs[u] |= bit
+        return CausalGraph(nodes, parents, preds, succs)
+
+    @staticmethod
+    def from_edges(nodes: list[int], edges: Iterable[tuple[int, int, str]]) -> "CausalGraph":
+        """Build the graph from ``(src, dst, kind)`` tuples over non-negative ids.
 
         An endpoint that is not a node raises ``NodeNotFound``. Edges with
         ``src >= dst`` break chronology and are dropped, which keeps the
-        graph acyclic; duplicates of a kind and pair collapse to one.
+        graph acyclic; duplicates of a kind and pair collapse to one bit.
         """
-        node_set = set(nodes)
-        for src, dst, _ in edges:
-            if src not in node_set or dst not in node_set:
+        parents = tuple(dict.fromkeys(nodes, 0) for _ in EDGE_KINDS)
+        for src, dst, kind in edges:
+            if src not in parents[0] or dst not in parents[0]:
                 raise NodeNotFound(f"edge {src}->{dst}: endpoint not a node")
-        code = {kind: i for i, kind in enumerate(EDGE_KINDS)}
-        keyed = sorted({(src, dst, code[kind]) for src, dst, kind in edges if src < dst})
-        succ: dict[int, list[int]] = {v: [] for v in nodes}
-        pred: dict[int, list[int]] = {v: [] for v in nodes}
-        for src, dst in dict.fromkeys((src, dst) for src, dst, _ in keyed):
-            succ[src].append(dst)
-            pred[dst].append(src)
-        return CausalGraph(
-            nodes=tuple(sorted(nodes)),
-            edges=tuple((src, dst, EDGE_KINDS[k]) for src, dst, k in keyed),
-            successors={v: tuple(vs) for v, vs in succ.items()},
-            predecessors={v: tuple(vs) for v, vs in pred.items()},
+            if src < dst:
+                parents[EDGE_KINDS.index(kind)][dst] |= 1 << src
+        return CausalGraph.from_parents(nodes, parents)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, str], ...]:
+        """``(src, dst, kind)`` tuples ordered by ``(src, dst, EDGE_KINDS order)``."""
+        return tuple(
+            (src, dst, kind)
+            for src in self.nodes
+            for dst in _bits(self.succs[src])
+            for kind, masks in zip(EDGE_KINDS, self.parents)
+            if masks[dst] >> src & 1
         )
 
     def __contains__(self, node: int) -> bool:
-        return node in self.successors
+        return node in self.preds
 
     def out_degree(self, v: int) -> int:
-        return len(self.successors[v])
+        return self.succs[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return len(self.predecessors[v])
+        return self.preds[v].bit_count()
 
     def edge_kind_counts(self) -> dict[str, int]:
-        counts = dict.fromkeys(EDGE_KINDS, 0)
-        for _, _, kind in self.edges:
-            counts[kind] += 1
-        return counts
+        return {
+            kind: sum(mask.bit_count() for mask in masks.values())
+            for kind, masks in zip(EDGE_KINDS, self.parents)
+        }
 
     def to_obj(self) -> dict:
         """JSON-friendly dump used by ``analyze --dump-graph`` and goldens."""
@@ -100,6 +119,17 @@ class CausalGraph:
             "nodes": list(self.nodes),
             "edges": [{"from": src, "to": dst, "kind": kind} for src, dst, kind in self.edges],
         }
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    found = []
+    while mask:
+        top = mask.bit_length() - 1
+        found.append(top)
+        mask ^= 1 << top
+    found.reverse()
+    return found
 
 
 def _identifier_tokens(text: str) -> set[str]:
@@ -116,27 +146,24 @@ def _artifact_names(declared: tuple[str, ...] | None, text: str) -> set[str]:
 def build_graph(trace: ExecutionTrace) -> CausalGraph:
     """Derive the typed causal DAG for a trace (see module docstring).
 
-    Data edges come from an inverted index, artifact name -> producers,
-    built in step order: each consumer is linked to the earlier producers
-    of the names it consumes, so the cost follows the matches, not the
-    number of step pairs.
+    Data edges come from an index, artifact name -> bitset of its producers,
+    built in step order: a consumer ORs in the earlier producers of the
+    names it consumes, so the cost follows the names, not the step pairs.
     """
     steps = trace.steps
-    n = len(steps)
-    edges: list[tuple[int, int, str]] = []
+    ids = [s.step_id for s in steps]
+    sequential, communication, data = parents = tuple(dict.fromkeys(ids, 0) for _ in EDGE_KINDS)
 
     # Sequential: successive steps in each agent's own timeline.
     last_by_agent: dict[str, int] = {}
     for step in steps:
-        prev = last_by_agent.get(step.agent)
-        if prev is not None:
-            edges.append((prev, step.step_id, "sequential"))
-        last_by_agent[step.agent] = step.step_id
+        sequential[step.step_id] = last_by_agent.get(step.agent, 0)
+        last_by_agent[step.agent] = 1 << step.step_id
 
     # Communication: hand-off at each agent-block boundary.
-    for i in range(n - 1):
-        if steps[i].agent != steps[i + 1].agent:
-            edges.append((steps[i].step_id, steps[i + 1].step_id, "communication"))
+    for prev, step in zip(steps, steps[1:]):
+        if prev.agent != step.agent:
+            communication[step.step_id] |= 1 << prev.step_id
 
     # Communication: message steps link to their first cross-agent consumer.
     for step in steps:
@@ -144,23 +171,20 @@ def build_graph(trace: ExecutionTrace) -> CausalGraph:
             continue
         for later in steps[step.step_id :]:
             if later.agent != step.agent:
-                edges.append((step.step_id, later.step_id, "communication"))
+                communication[later.step_id] |= 1 << step.step_id
                 break
 
     # Data: declared artifact overlap, with a text-scan fallback per side.
-    # Index: name -> producers so far. A step consumes before it produces,
-    # so it only links to earlier producers.
-    producers: dict[str, list[int]] = {}
+    # A step consumes before it produces, so it only links to earlier
+    # producers.
+    producers: dict[str, int] = {}
     for step in steps:
-        sources: set[int] = set()
         for name in _artifact_names(step.consumes, step.input):
-            sources.update(producers.get(name, ()))
-        for src in sources:
-            edges.append((src, step.step_id, "data"))
+            data[step.step_id] |= producers.get(name, 0)
         for name in _artifact_names(step.produces, step.output):
-            producers.setdefault(name, []).append(step.step_id)
+            producers[name] = producers.get(name, 0) | 1 << step.step_id
 
-    return CausalGraph.from_edges([s.step_id for s in steps], edges)
+    return CausalGraph.from_parents(ids, parents)
 
 
 @dataclass(frozen=True)
@@ -169,6 +193,23 @@ class CandidateSet:
 
     members: frozenset[int]
     depth_of: dict[int, int] = field(compare=False)
+
+
+def _reverse_depths(graph: CausalGraph, node: int, max_depth: int) -> dict[int, int]:
+    """Reverse-BFS layer of ``node`` (0) and of its ancestors within
+    ``max_depth`` layers: each layer ORs its frontier's ``preds`` masks."""
+    depth_of: dict[int, int] = {}
+    frontier = seen = 1 << node
+    for layer in range(max_depth + 1):
+        parents = 0
+        for v in _bits(frontier):
+            depth_of[v] = layer
+            parents |= graph.preds[v]
+        frontier = parents & ~seen
+        if not frontier:
+            break
+        seen |= frontier
+    return depth_of
 
 
 def backtrace(graph: CausalGraph, error_node: int, max_depth: int = 10) -> CandidateSet:
@@ -182,18 +223,7 @@ def backtrace(graph: CausalGraph, error_node: int, max_depth: int = 10) -> Candi
         raise NodeNotFound(f"error node {error_node} not in graph")
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    depth_of = {error_node: 0}
-    frontier = [error_node]
-    for layer in range(1, max_depth + 1):
-        new_frontier: list[int] = []
-        for v in frontier:
-            for u in graph.predecessors[v]:
-                if u not in depth_of:
-                    depth_of[u] = layer
-                    new_frontier.append(u)
-        frontier = new_frontier
-        if not frontier:
-            break
+    depth_of = _reverse_depths(graph, error_node, max_depth)
     return CandidateSet(members=frozenset(depth_of), depth_of=depth_of)
 
 
@@ -202,57 +232,54 @@ def descendants(graph: CausalGraph, nodes: Iterable[int]) -> dict[int, int]:
     is set when ``w`` is forward-reachable from ``v`` (``v`` excluded), so
     ``mask.bit_count()`` is the number of descendants.
 
-    Node ids are a topological order, so one descending sweep sets
-    ``reach[u]`` to the OR, over the successors ``w`` of ``u``, of
-    ``reach[w] | 1 << w``. A mask depends only on larger ids, so the sweep
-    stops below the smallest requested node.
+    One descending sweep sets ``closed[u]`` (``u`` and its descendants) to
+    the OR of its successors' masks, and stops below the smallest requested
+    node. A successor already in the OR has its mask inside it and is
+    skipped, so a transitively closed graph costs one OR per node.
     """
     wanted = sorted(set(nodes))
     for v in wanted:
         if v not in graph:
             raise NodeNotFound(f"node {v} not in graph")
-    if not wanted:
-        return {}
-    lowest = wanted[0]
-    # ``closed[u]`` is ``reach[u] | 1 << u``, which saves one OR per edge.
     closed: dict[int, int] = {}
     for u in reversed(graph.nodes):
-        if u < lowest:
+        if not wanted or u < wanted[0]:
             break
-        mask = 1 << u
-        for w in graph.successors[u]:
-            mask |= closed[w]
+        mask, rest = 1 << u, graph.succs[u]
+        while rest:
+            mask |= closed[(rest & -rest).bit_length() - 1]
+            rest &= ~mask
         closed[u] = mask
     return {v: closed[v] ^ (1 << v) for v in wanted}
+
+
+def _ancestor_sweep(graph: CausalGraph) -> tuple[dict[int, int], dict[int, int]]:
+    """Ancestor mask (``v`` included) and longest-path depth of every node. A
+    predecessor inside the mask of a higher one is its ancestor: skipped."""
+    closed: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    for v in graph.nodes:
+        mask, rest, d = 1 << v, graph.preds[v], 0
+        while rest:
+            u = rest.bit_length() - 1
+            mask |= closed[u]
+            d = max(d, depth[u] + 1)
+            rest &= ~mask
+        closed[v], depth[v] = mask, d
+    return closed, depth
 
 
 def distances_to(graph: CausalGraph, dst: int) -> dict[int, float]:
     """Directed distance from every node to ``dst`` in one reverse BFS."""
     if dst not in graph:
         raise NodeNotFound(f"node {dst} not in graph")
-    dist: dict[int, float] = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        v = queue.popleft()
-        for u in graph.predecessors[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
+    dist = _reverse_depths(graph, dst, len(graph.nodes))
     return {v: dist.get(v, float("inf")) for v in graph.nodes}
 
 
 def longest_path_depth(graph: CausalGraph) -> dict[int, int]:
-    """Longest path length from any source (no-parent node) to every node.
-
-    Nodes are already topologically ordered by id (edges satisfy
-    ``from < to``), so one forward sweep suffices.
-    """
-    depth = {u: 0 for u in graph.nodes}
-    for u in graph.nodes:
-        for w in graph.successors[u]:
-            if depth[u] + 1 > depth[w]:
-                depth[w] = depth[u] + 1
-    return depth
+    """Longest path length from any source (no-parent node) to every node."""
+    return _ancestor_sweep(graph)[1]
 
 
 def betweenness(graph: CausalGraph, nodes: Iterable[int] | None = None) -> dict[int, float]:
@@ -264,42 +291,45 @@ def betweenness(graph: CausalGraph, nodes: Iterable[int] | None = None) -> dict[
     sums; min-max scaling happens downstream in feature normalization.
 
     Brandes' accumulation runs on the reversed graph, one BFS per target
-    ``t`` over ``predecessors``, which yields each node's dependency on
-    ``t``. A pair ``s -> t`` passes through ``v`` only when ``t`` is a
-    descendant of ``v``, so the targets are restricted to the nodes
-    reachable from ``nodes`` and the cost follows the candidates, not the
-    trace. Node ids are a topological order, so one ascending sweep
-    collects them as a set, since the targets are then visited one by one.
+    ``t`` over ``preds``, which yields each node's dependency on ``t``. A
+    pair ``s -> t`` passes through ``v`` only when ``t`` is a descendant of
+    ``v``, so the targets are the nodes reachable from ``nodes``. A target
+    whose ancestors are all direct predecessors is skipped (module docstring).
     """
     wanted = graph.nodes if nodes is None else sorted(nodes)
     for v in wanted:
         if v not in graph:
             raise NodeNotFound(f"node {v} not in graph")
     scores = {v: 0.0 for v in wanted}
-    targets: set[int] = set()
+    targets = 0
     for u in graph.nodes:
-        if u in scores or u in targets:
-            targets.update(graph.successors[u])
-    for target in sorted(targets):
+        if u in scores or targets >> u & 1:
+            targets |= graph.succs[u]
+    ancestors, _ = _ancestor_sweep(graph)
+    # Each visited node's predecessor mask, expanded once per call.
+    pred_bits: dict[int, list[int]] = {}
+    for target in _bits(targets):
+        if ancestors[target] == graph.preds[target] | 1 << target:
+            continue
         # BFS phase over reverse edges: path counts and BFS parents, kept
-        # only for the nodes reached (the ancestors of ``target``).
+        # only for the nodes reached (the ancestors of ``target``). ``order``
+        # is also the FIFO queue: the loop reaches the nodes appended to it.
         sigma = {target: 1}
         dist = {target: 0}
         preds: dict[int, list[int]] = {target: []}
-        order: list[int] = []
-        queue = deque([target])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        order = [target]
+        for v in order:
             next_dist = dist[v] + 1
             sigma_v = sigma[v]
-            for w in graph.predecessors[v]:
+            if v not in pred_bits:
+                pred_bits[v] = _bits(graph.preds[v])
+            for w in pred_bits[v]:
                 dist_w = dist.get(w)
                 if dist_w is None:
                     dist[w] = next_dist
                     sigma[w] = sigma_v
                     preds[w] = [v]
-                    queue.append(w)
+                    order.append(w)
                 elif dist_w == next_dist:
                     sigma[w] += sigma_v
                     preds[w].append(v)

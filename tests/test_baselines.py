@@ -3,12 +3,10 @@
 import json
 import os
 import stat
-import sys
 
 import pytest
 
 from tracefault.baselines import (
-    CommandAdapter,
     FixtureAdapter,
     build_prompt,
     classify_llm_error,
@@ -121,26 +119,6 @@ def test_out_of_range_step_number(trace):
         llm_baseline(trace, adapter, strict=True)
     pred = llm_baseline(trace, adapter, strict=False)
     assert pred[1]
-
-
-def test_command_adapter_round_trip(tmp_path, trace):
-    script = tmp_path / "fake_model.py"
-    script.write_text(
-        "import sys\n"
-        "prompt = sys.stdin.read()\n"
-        "sys.stdout.write('3' if 'Step 3' in prompt else '1')\n"
-    )
-    adapter = CommandAdapter([sys.executable, str(script)])
-    pred = llm_baseline(trace, adapter)
-    assert pred[0][0] == 3
-
-
-def test_command_adapter_failure(tmp_path, trace):
-    script = tmp_path / "broken.py"
-    script.write_text("import sys; sys.exit(9)\n")
-    adapter = CommandAdapter([sys.executable, str(script)])
-    with pytest.raises(AdapterFailure):
-        llm_baseline(trace, adapter)
 
 
 def test_fixture_adapter_from_file(tmp_path, trace):

@@ -47,6 +47,16 @@ def test_analyze_annotated_scenario(tmp_path, example1_bytes):
     assert report["candidates"][0]["step_id"] == 3
 
 
+@pytest.mark.parametrize("node", ["0", "-3"])
+def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
+    # The membership check runs before any bit shift: ``1 << -3`` would
+    # raise ValueError and end in a traceback with exit 1.
+    assert main(["analyze", str(example1_path), "--error-node", node]) == 3
+    err = capsys.readouterr().err
+    assert f"error node {node} not in graph" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

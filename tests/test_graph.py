@@ -1,6 +1,7 @@
 """Graph construction rules, backward tracing, and topological queries."""
 
 import math
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -43,6 +44,10 @@ def make_trace(agents_actions, produces=None, consumes=None):
     return ExecutionTrace(
         scenario_id="t", domain="test", agents=tuple(roster), steps=tuple(steps)
     )
+
+
+def bits(mask):
+    return {w for w in range(mask.bit_length()) if mask >> w & 1}
 
 
 def chain_graph(n):
@@ -149,7 +154,8 @@ def test_duplicate_typed_edges_collapse():
     )
     assert len(graph.edges) == 2  # one per kind
     assert graph.edges == ((1, 2, "sequential"), (1, 2, "data"))  # EDGE_KINDS order
-    assert graph.successors[1] == (2,)
+    assert graph.succs[1] == 1 << 2 and graph.preds[2] == 1 << 1
+    assert graph.out_degree(1) == graph.in_degree(2) == 1
 
 
 def test_non_chronological_edges_dropped():
@@ -166,13 +172,18 @@ def test_unknown_endpoint_raises_in_either_direction():
 
 def from_edges_oracle(nodes, edges):
     """Reference: keep chronological edges once each, sorted by
-    ``(src, dst, EDGE_KINDS order)``; adjacency lists the distinct pairs."""
+    ``(src, dst, EDGE_KINDS order)``; adjacency lists the distinct pairs,
+    and each kind's parents of a node are listed on their own."""
     kept = sorted(
         {e for e in edges if e[0] < e[1]}, key=lambda e: (e[0], e[1], EDGE_KINDS.index(e[2]))
     )
     successors = {v: tuple(sorted({dst for src, dst, _ in kept if src == v})) for v in nodes}
     predecessors = {v: tuple(sorted({src for src, dst, _ in kept if dst == v})) for v in nodes}
-    return tuple(kept), successors, predecessors
+    parents = tuple(
+        {v: tuple(src for src, dst, k in kept if dst == v and k == kind) for v in nodes}
+        for kind in EDGE_KINDS
+    )
+    return tuple(kept), successors, predecessors, parents
 
 
 @st.composite
@@ -195,7 +206,12 @@ def test_from_edges_matches_sort_and_filter_oracle(case):
     nodes, edges = case
     graph = CausalGraph.from_edges(nodes, edges)
     assert graph.nodes == tuple(sorted(nodes))
-    assert (graph.edges, graph.successors, graph.predecessors) == from_edges_oracle(nodes, edges)
+    successors = {v: tuple(sorted(bits(graph.succs[v]))) for v in nodes}
+    predecessors = {v: tuple(sorted(bits(graph.preds[v]))) for v in nodes}
+    parents = tuple({v: tuple(sorted(bits(m[v]))) for v in nodes} for m in graph.parents)
+    assert (graph.edges, successors, predecessors, parents) == from_edges_oracle(nodes, edges)
+    assert all(graph.out_degree(v) == len(successors[v]) for v in nodes)
+    assert all(graph.in_degree(v) == len(predecessors[v]) for v in nodes)
 
 
 def test_backtrace_full_chain():
@@ -225,10 +241,6 @@ def test_backtrace_missing_node():
         backtrace(chain_graph(3), 9)
     with pytest.raises(ValueError):
         backtrace(chain_graph(3), 3, max_depth=0)
-
-
-def bits(mask):
-    return {w for w in range(mask.bit_length()) if mask >> w & 1}
 
 
 def test_descendants_on_chain():
@@ -282,16 +294,79 @@ def test_graph_dump_shape():
     assert {"from": 1, "to": 2, "kind": "sequential"} in obj["edges"]
 
 
+def closure(n, edges):
+    """The transitive closure of ``edges`` on ids 1..n, as data edges."""
+    reach = {v: set() for v in range(1, n + 1)}
+    for src, dst, _ in sorted(edges, reverse=True):
+        reach[src] |= {dst} | reach[dst]
+    return [(src, dst, "data") for src in reach for dst in sorted(reach[src])]
+
+
 @st.composite
 def dags_with_nodes(draw):
-    """A random DAG on ids 1..n (edges point to larger ids) and a node subset."""
+    """A DAG on ids 1..n (edges point to larger ids) and a node subset.
+
+    The DAG is random, the transitive closure of a random one, or a chain
+    plus a random part of its closure: in the last two shapes many targets
+    have only direct predecessors as ancestors, the case betweenness skips.
+    """
     n = draw(st.integers(1, 14))
+    shape = draw(st.sampled_from(["random", "closed", "chain+closure"]))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if shape == "chain+closure":
+        pairs = [(i, j) for i, j in pairs if j > i + 1]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [(i, j, "data") for (i, j), kept in zip(pairs, keep) if kept]
+    if shape == "closed":
+        edges = closure(n, edges)
+    elif shape == "chain+closure":
+        edges += [(i, i + 1, "sequential") for i in range(1, n)]
     graph = CausalGraph.from_edges(list(range(1, n + 1)), edges)
     nodes = draw(st.sets(st.integers(1, n)))
     return graph, nodes
+
+
+def reference_betweenness(graph, nodes):
+    """Brandes over tuple adjacency built from ``graph.edges``: one reverse
+    BFS per target reachable from ``nodes``, predecessors in ascending order."""
+    successors = {v: [] for v in graph.nodes}
+    predecessors = {v: [] for v in graph.nodes}
+    for src, dst in dict.fromkeys((src, dst) for src, dst, _ in graph.edges):
+        successors[src].append(dst)
+        predecessors[dst].append(src)
+    scores = {v: 0.0 for v in sorted(nodes)}
+    targets = set()
+    for u in graph.nodes:
+        if u in scores or u in targets:
+            targets.update(successors[u])
+    for target in sorted(targets):
+        sigma, dist, parents, order = {target: 1}, {target: 0}, {target: []}, []
+        queue = deque([target])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in predecessors[v]:
+                if w not in dist:
+                    dist[w], sigma[w], parents[w] = dist[v] + 1, sigma[v], [v]
+                    queue.append(w)
+                elif dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    parents[w].append(v)
+        delta = dict.fromkeys(order, 0.0)
+        for w in reversed(order):
+            for v in parents[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != target and w in scores:
+                scores[w] += delta[w]
+    return scores
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_with_nodes())
+def test_betweenness_equals_tuple_brandes_exactly(case):
+    graph, nodes = case
+    assert betweenness(graph, nodes) == reference_betweenness(graph, nodes)
+    assert betweenness(graph) == reference_betweenness(graph, graph.nodes)
 
 
 @settings(max_examples=300, deadline=None)
