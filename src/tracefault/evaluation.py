@@ -2,9 +2,12 @@
 
 Annotated and blind benchmarks evaluate through the same code path: both
 reduce to (trace, answer) pairs, the analyzer is always anchored at the
-trace's final step, and the answer is consulted only for scoring. Running
-the blind split of a benchmark therefore produces bit-identical metrics to
-running its annotated form.
+trace's final step, and the answer is consulted only for scoring. Hit@k,
+MRR and the strata of every method that does not read the scenario id
+therefore match between the blind split of a benchmark and its annotated
+form. Two outputs still differ: the random baseline seeds by scenario id,
+which blinding renames, and the bootstrap intervals depend on the order of
+the units, which follows file names and so differs between the splits.
 
 Each trace is reduced once to a ``FeatureTable``; the main method, the
 ablations and the sweep all score that table, so features are computed once
@@ -152,12 +155,6 @@ def _accuracy(ranks) -> dict:
     }
 
 
-def _metric_block(ranks, bootstrap_b, bootstrap_seed) -> dict:
-    outcomes = [1 if r == 1 else 0 for r in ranks]
-    lo, hi = bootstrap_ci(outcomes, b=bootstrap_b, seed=bootstrap_seed)
-    return {**_accuracy(ranks), "hit_at_1_ci95": [lo, hi]}
-
-
 def _strata_block(units, ranks, key_fn) -> dict:
     strata: dict[str, list] = {}
     for unit, r in zip(units, ranks):
@@ -229,9 +226,15 @@ def evaluate(
             raise ValueError(f"unknown method {method!r}")
         ranks_by_method[method] = ranks
 
+    # One call draws the resamples once and applies them to every method.
+    intervals = bootstrap_ci(
+        [[1 if r == 1 else 0 for r in ranks] for ranks in ranks_by_method.values()],
+        b=bootstrap_b,
+        seed=bootstrap_seed,
+    )
     metrics = {
-        method: _metric_block(ranks, bootstrap_b, bootstrap_seed)
-        for method, ranks in ranks_by_method.items()
+        method: {**_accuracy(ranks), "hit_at_1_ci95": list(interval)}
+        for (method, ranks), interval in zip(ranks_by_method.items(), intervals)
     }
 
     significance = {}

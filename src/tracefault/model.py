@@ -183,7 +183,46 @@ def _reject_extras(obj: dict, allowed: tuple[str, ...], path: str) -> None:
         raise SchemaViolation(f"{path}: unexpected field(s) {', '.join(extra)}")
 
 
+_STEP_KEYS = frozenset(_STEP_REQUIRED + _STEP_OPTIONAL)
+# True when every type in the iterable is exactly ``str``.
+_only_str = frozenset((str,)).issuperset
+
+
 def _parse_step(obj: object, index: int) -> Step:
+    # One key-set test and one exact-type test per field; JSON yields exact
+    # types. Anything else, valid or not, takes the checked path below, so a
+    # fault is reported with the same message and in the same order.
+    if type(obj) is dict and _STEP_KEYS.issuperset(obj):
+        get = obj.get
+        step_id, agent, action_type = get("step_id"), get("agent"), get("action_type")
+        text_in, text_out, timestamp = get("input"), get("output"), get("timestamp")
+        confidence, produces, consumes = get("confidence"), get("produces"), get("consumes")
+        if (
+            type(step_id) is int
+            and type(agent) is str
+            and type(action_type) is str
+            and type(text_in) is str
+            and type(text_out) is str
+            and type(timestamp) is str
+            and (confidence is None or type(confidence) is float or type(confidence) is int)
+            and (produces is None or type(produces) is list and _only_str(map(type, produces)))
+            and (consumes is None or type(consumes) is list and _only_str(map(type, consumes)))
+        ):
+            return Step(
+                step_id=step_id,
+                agent=agent,
+                action_type=action_type,
+                input=text_in,
+                output=text_out,
+                timestamp=timestamp,
+                confidence=float(confidence) if confidence is not None else None,
+                produces=tuple(produces) if produces is not None else None,
+                consumes=tuple(consumes) if consumes is not None else None,
+            )
+    return _parse_step_checked(obj, index)
+
+
+def _parse_step_checked(obj: object, index: int) -> Step:
     path = f"steps[{index}]"
     if not isinstance(obj, dict):
         raise SchemaViolation(f"{path}: expected object")

@@ -11,10 +11,13 @@ load it.
 The bootstrap draws its resample indices as ``B`` successive
 ``rng.integers(0, n, size=n)`` calls from ``numpy.random.default_rng(seed)``;
 this seed-stream contract is fixed so an independent resampler can reproduce
-the interval exactly. The draws are taken ``_BOOTSTRAP_CHUNK`` rows at a
-time with ``size=(rows, n)``, which yields the same stream. Percentiles use
-linear interpolation between order statistics: position ``q * (B - 1)``,
-value ``lo + (hi - lo) * frac``.
+the interval exactly. The contract holds per row of outcomes, and one call
+shares the stream among all its rows: every row is resampled with the same
+indices (the paired bootstrap), so each interval equals the one a call with
+that row alone returns. The draws are taken ``_BOOTSTRAP_CHUNK`` resamples
+at a time with ``size=(resamples, n)``, which yields the same stream.
+Percentiles use linear interpolation between order statistics: position
+``q * (B - 1)``, value ``lo + (hi - lo) * frac``.
 """
 
 from __future__ import annotations
@@ -25,9 +28,13 @@ from .errors import DegenerateTable, EmptyBenchmark
 
 BOOTSTRAP_DEFAULT_B = 10_000
 BOOTSTRAP_DEFAULT_SEED = 12345
-# Rows of resample indices drawn per call. Each row holds n int64 indices
-# and n gathered values; 32 rows were 13% faster at n = 550 but raised the
-# peak RSS of `evaluate --ablations --sweep` by 0.2 MB.
+# Resamples drawn at a time: chunk x n int64 indices, plus chunk x n values
+# gathered per row of outcomes. At n = 550 (2-core x86_64, six fresh
+# processes each, median peak RSS) `evaluate --check` read 42.70, 42.85 and
+# 43.05 MB at 16, 32 and 64, against 42.79 MB for one call per method at 16;
+# `evaluate --methods tracefault --ablations --sweep` read 42.63, 42.76 and
+# 42.85 MB, against 42.60 MB. 32 and 64 cut the four-row draw from about 97
+# to 88 and 86 ms, too little for the added memory.
 _BOOTSTRAP_CHUNK = 16
 
 
@@ -49,6 +56,8 @@ def mrr(ranks) -> float:
 
 def percentile(sorted_values, q: float) -> float:
     """Linear-interpolation percentile of pre-sorted values, q in [0, 1]."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"percentile q must lie in [0, 1], got {q}")
     n = len(sorted_values)
     if n == 0:
         raise EmptyBenchmark("percentile of empty sample")
@@ -63,29 +72,40 @@ def percentile(sorted_values, q: float) -> float:
 
 
 def bootstrap_ci(
-    outcomes,
+    rows,
     b: int = BOOTSTRAP_DEFAULT_B,
     confidence: float = 0.95,
     seed: int = BOOTSTRAP_DEFAULT_SEED,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of ``outcomes``."""
-    import numpy as np
+) -> list[tuple[float, float]]:
+    """Percentile bootstrap interval for the mean of each row of outcomes.
 
-    values = np.asarray(list(outcomes), dtype=np.float64)
-    n = values.size
-    if n == 0:
-        raise EmptyBenchmark("bootstrap over zero outcomes")
+    Every row is resampled with the same indices, so each interval equals the
+    one a call with that row alone returns. Zero rows give no intervals.
+    """
     if b < 1:
         raise ValueError(f"bootstrap iterations must be >= 1, got {b}")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    import numpy as np
+
+    values = [np.asarray(list(row), dtype=np.float64) for row in rows]
+    if not values:
+        return []
+    n = values[0].size
+    if any(v.size != n for v in values):
+        raise ValueError(f"bootstrap rows differ in length: {[v.size for v in values]}")
+    if n == 0:
+        raise EmptyBenchmark("bootstrap over zero outcomes")
     rng = np.random.default_rng(seed)
-    means = np.empty(b, dtype=np.float64)
+    means = np.empty((len(values), b), dtype=np.float64)
     for start in range(0, b, _BOOTSTRAP_CHUNK):
-        rows = min(_BOOTSTRAP_CHUNK, b - start)
-        idx = rng.integers(0, n, size=(rows, n))
-        means[start : start + rows] = values[idx].sum(axis=1) / n
-    means.sort()
+        stop = min(start + _BOOTSTRAP_CHUNK, b)
+        idx = rng.integers(0, n, size=(stop - start, n))
+        for row_means, v in zip(means, values):
+            row_means[start:stop] = v[idx].sum(axis=1) / n
+    means.sort(axis=1)
     alpha = 1.0 - confidence
-    return percentile(means, alpha / 2.0), percentile(means, 1.0 - alpha / 2.0)
+    return [(percentile(m, alpha / 2.0), percentile(m, 1.0 - alpha / 2.0)) for m in means]
 
 
 def mcnemar(n01: int, n10: int) -> tuple[float, float]:

@@ -4,10 +4,19 @@ import itertools
 
 import pytest
 
+import tracefault.evaluation as evaluation
 import tracefault.ranking as ranking
 from tracefault.baselines import last_node_baseline
-from tracefault.benchgen import generate_benchmark
-from tracefault.evaluation import ABLATION_COMBOS, evaluate, render_report, run_checks
+from tracefault.benchgen import generate_benchmark, make_blind
+from tracefault.evaluation import (
+    ABLATION_COMBOS,
+    METHODS,
+    evaluate,
+    render_report,
+    run_checks,
+    units_from_blind,
+    units_from_scenarios,
+)
 from tracefault.features import FeatureConfig, compute_features
 from tracefault.graph import backtrace, build_graph
 from tracefault.model import DOMAINS
@@ -135,3 +144,33 @@ def test_llm_errors_cover_every_miss(units, llm_adapter):
     assert result["llm_fallbacks"] == 0
     assert sum(result["llm_error_analysis"].values()) == misses
     assert result["methods"]["llm"]["hit_at_1"] == (len(units) - misses) / len(units)
+
+
+def test_five_methods_share_one_bootstrap_call(sample, llm_adapter, monkeypatch):
+    calls = []
+    original = evaluation.bootstrap_ci
+
+    def counted(rows, *args, **kwargs):
+        rows = list(rows)
+        calls.append(len(rows))
+        return original(rows, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "bootstrap_ci", counted)
+    result = evaluate(sample, methods=METHODS, llm_adapter=llm_adapter, bootstrap_b=50)
+    assert calls == [len(METHODS)]
+    for method in METHODS:
+        alone = evaluate(sample, methods=(method,), llm_adapter=llm_adapter, bootstrap_b=50)
+        assert alone["methods"][method] == result["methods"][method], method
+
+
+def test_blind_and_annotated_units_agree_on_deterministic_methods(seed42_benchmark):
+    scenarios = [g.scenario for g in seed42_benchmark]
+    methods = ("tracefault", "first", "last")
+    annotated = evaluate(units_from_scenarios(scenarios), methods=methods, bootstrap_b=10)
+    blind_units = units_from_blind(*make_blind(scenarios, "parity"))
+    blind = evaluate(blind_units, methods=methods, bootstrap_b=10)
+    fields = ("n", "hit_at_1", "hit_at_3", "hit_at_5", "mrr")
+    for method in methods:
+        a, b = annotated["methods"][method], blind["methods"][method]
+        assert {k: a[k] for k in fields} == {k: b[k] for k in fields}, method
+    assert annotated["strata"] == blind["strata"]

@@ -114,6 +114,47 @@ def test_schema_violations(mutate):
         parse_scenario(json.dumps(obj).encode())
 
 
+def _set(index, **fields):
+    return lambda o: o["steps"][index].update(fields)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda o: o["steps"].__setitem__(2, ["step"]), "steps[2]: expected object"),
+        (_set(2, unexpected=1), "steps[2]: unexpected field(s) unexpected"),
+        (lambda o: o["steps"][2].pop("agent"), "steps[2].agent: missing required field"),
+        (_set(2, step_id="3"), "steps[2].step_id: expected <class 'int'>, got str"),
+        (_set(2, step_id=True), "steps[2].step_id: expected <class 'int'>, got bool"),
+        (_set(2, timestamp=5), "steps[2].timestamp: expected <class 'str'>, got int"),
+        (_set(2, produces="x"), "steps[2].produces: expected list of strings"),
+        (_set(2, consumes=["x", 1]), "steps[2].consumes: expected list of strings"),
+        (_set(2, confidence="high"), "steps[2].confidence: expected number"),
+        # Two faults: the extra field is reported before the missing one.
+        (
+            lambda o: (o["steps"][2].pop("agent"), o["steps"][2].update(zz=1, aa=2)),
+            "steps[2]: unexpected field(s) aa, zz",
+        ),
+    ],
+)
+def test_step_fault_messages(mutate, message):
+    obj = minimal_scenario_obj()
+    mutate(obj)
+    with pytest.raises(SchemaViolation) as info:
+        parse_scenario(json.dumps(obj).encode())
+    assert str(info.value) == message
+
+
+def test_step_fields_of_a_str_subtype_still_parse():
+    class Label(str):
+        pass
+
+    obj = minimal_scenario_obj()
+    obj["steps"][0].update(agent=Label("Planner"), produces=[Label("x")])
+    step = parse_scenario(obj).trace.steps[0]
+    assert (step.agent, step.produces) == ("Planner", ("x",))
+
+
 def test_step_id_contiguity_enforced():
     obj = minimal_scenario_obj()
     obj["steps"][3]["step_id"] = 7

@@ -44,7 +44,13 @@ def test_empty_inputs_rejected():
     with pytest.raises(EmptyBenchmark):
         mrr([])
     with pytest.raises(EmptyBenchmark):
-        bootstrap_ci([])
+        bootstrap_ci([[]])
+    with pytest.raises(EmptyBenchmark):
+        bootstrap_ci([[], []])
+
+
+def test_bootstrap_of_zero_rows_is_empty():
+    assert bootstrap_ci([]) == []
 
 
 def oracle_bootstrap(values, b, confidence, seed):
@@ -72,20 +78,59 @@ def oracle_bootstrap(values, b, confidence, seed):
     "values", [[1, 1, 0, 1], [0, 1], [1, 0, 0, 0, 1, 1, 1, 0, 1, 0], [0.25, 0.5, 1.0]]
 )
 def test_bootstrap_matches_independent_resampler_exactly(values):
-    ours = bootstrap_ci(values, b=10_000, confidence=0.95, seed=12345)
+    ours = bootstrap_ci([values], b=10_000, confidence=0.95, seed=12345)
     theirs = oracle_bootstrap(values, b=10_000, confidence=0.95, seed=12345)
-    assert ours == theirs  # exact float equality: shared seed stream contract
+    assert ours == [theirs]  # exact float equality: shared seed stream contract
+
+
+# Rows of one call share n; the dyadic fractions sum exactly in any order, so
+# numpy's pairwise sums equal the oracle's left-to-right ones.
+SHARED_ROWS = {
+    1: [[0], [1], [0.75]],
+    8: [
+        [0] * 8,
+        [1] * 8,
+        [1, 0, 1, 1, 0, 1, 1, 1],
+        [0.5, 0.25, 0.125, 1.0, 0.0, 0.75, 0.375, 0.0625],
+    ],
+}
+
+
+@pytest.mark.parametrize("b", [1, 37, 10_001])
+@pytest.mark.parametrize("n", sorted(SHARED_ROWS))
+def test_every_row_of_one_call_matches_the_resampler_alone(n, b):
+    rows = SHARED_ROWS[n]
+    ours = bootstrap_ci(rows, b=b, confidence=0.9, seed=2024)
+    assert ours == [oracle_bootstrap(row, b=b, confidence=0.9, seed=2024) for row in rows]
+
+
+def test_rows_of_one_call_equal_their_single_row_calls():
+    # Arbitrary floats: the sums round, and each row must still get the
+    # reduction a call with that row alone makes.
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(3, 41)).tolist()
+    assert bootstrap_ci(rows, b=99) == [bootstrap_ci([row], b=99)[0] for row in rows]
 
 
 def test_bootstrap_degenerate_all_ones():
-    assert bootstrap_ci([1, 1, 1, 1], b=500) == (1.0, 1.0)
+    assert bootstrap_ci([[1, 1, 1, 1]], b=500) == [(1.0, 1.0)]
+
+
+def test_bootstrap_rejects_ragged_rows_and_bad_parameters():
+    with pytest.raises(ValueError, match="differ in length"):
+        bootstrap_ci([[1, 0], [1]])
+    with pytest.raises(ValueError, match="iterations"):
+        bootstrap_ci([[1, 0]], b=0)
+    for confidence in (0.0, 1.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="confidence"):
+            bootstrap_ci([[1, 0]], b=10, confidence=confidence)
 
 
 def test_bootstrap_interval_width_near_reference():
     # Bernoulli(0.949) sample of 550: the 95% interval should be ~3.6pp wide.
     rng = np.random.default_rng(99)
     outcomes = (rng.random(550) < 0.949).astype(int).tolist()
-    lo, hi = bootstrap_ci(outcomes, b=10_000)
+    [(lo, hi)] = bootstrap_ci([outcomes], b=10_000)
     width = hi - lo
     assert 0.026 <= width <= 0.046
 
@@ -96,6 +141,12 @@ def test_percentile_linear_interpolation():
     assert percentile(values, 0.0) == 0.0
     assert percentile(values, 1.0) == 3.0
     assert percentile([7.0], 0.4) == 7.0
+
+
+@pytest.mark.parametrize("q", [-0.1, 1.1, math.nan])
+def test_percentile_rejects_q_outside_unit_interval(q):
+    with pytest.raises(ValueError, match="percentile q"):
+        percentile([0.0, 1.0, 2.0, 3.0], q)
 
 
 def test_mcnemar_hand_values():
