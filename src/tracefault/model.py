@@ -162,100 +162,69 @@ class Scenario:
                 )
 
 
-_STEP_REQUIRED = ("step_id", "agent", "action_type", "input", "output", "timestamp")
+_STEP_TEXT = ("agent", "action_type", "input", "output", "timestamp")
+_STEP_REQUIRED = ("step_id",) + _STEP_TEXT
 _STEP_OPTIONAL = ("confidence", "produces", "consumes")
 _TRACE_REQUIRED = ("scenario_id", "domain", "agents", "steps")
 _GT_REQUIRED = ("error_node_id", "root_cause_node_id", "bug_type", "bug_description")
 
 
-def _require(obj: dict, key: str, kind: type | tuple[type, ...], path: str):
+def _field_error(obj: dict, key: str, kind: type | tuple[type, ...], path: str) -> SchemaViolation:
     if key not in obj:
-        raise SchemaViolation(f"{path}.{key}: missing required field")
-    value = obj[key]
+        return SchemaViolation(f"{path}.{key}: missing required field")
+    return SchemaViolation(f"{path}.{key}: expected {kind}, got {type(obj[key]).__name__}")
+
+
+def _require(obj: dict, key: str, kind: type | tuple[type, ...], path: str):
+    value = obj.get(key)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaViolation(f"{path}.{key}: expected {kind}, got {type(value).__name__}")
+        raise _field_error(obj, key, kind, path)
     return value
 
 
-def _reject_extras(obj: dict, allowed: tuple[str, ...], path: str) -> None:
+def _reject_extras(obj: dict, allowed: tuple[str, ...] | frozenset[str], path: str) -> None:
     extra = sorted(set(obj) - set(allowed))
     if extra:
         raise SchemaViolation(f"{path}: unexpected field(s) {', '.join(extra)}")
 
 
 _STEP_KEYS = frozenset(_STEP_REQUIRED + _STEP_OPTIONAL)
-# True when every type in the iterable is exactly ``str``.
-_only_str = frozenset((str,)).issuperset
 
 
 def _parse_step(obj: object, index: int) -> Step:
-    # One key-set test and one exact-type test per field; JSON yields exact
-    # types. Anything else, valid or not, takes the checked path below, so a
-    # fault is reported with the same message and in the same order.
-    if type(obj) is dict and _STEP_KEYS.issuperset(obj):
-        get = obj.get
-        step_id, agent, action_type = get("step_id"), get("agent"), get("action_type")
-        text_in, text_out, timestamp = get("input"), get("output"), get("timestamp")
-        confidence, produces, consumes = get("confidence"), get("produces"), get("consumes")
-        if (
-            type(step_id) is int
-            and type(agent) is str
-            and type(action_type) is str
-            and type(text_in) is str
-            and type(text_out) is str
-            and type(timestamp) is str
-            and (confidence is None or type(confidence) is float or type(confidence) is int)
-            and (produces is None or type(produces) is list and _only_str(map(type, produces)))
-            and (consumes is None or type(consumes) is list and _only_str(map(type, consumes)))
-        ):
-            return Step(
-                step_id=step_id,
-                agent=agent,
-                action_type=action_type,
-                input=text_in,
-                output=text_out,
-                timestamp=timestamp,
-                confidence=float(confidence) if confidence is not None else None,
-                produces=tuple(produces) if produces is not None else None,
-                consumes=tuple(consumes) if consumes is not None else None,
-            )
-    return _parse_step_checked(obj, index)
-
-
-def _parse_step_checked(obj: object, index: int) -> Step:
-    path = f"steps[{index}]"
+    # One key-set test, then one type test per field in the order faults are
+    # reported; the ``steps[i]`` path is formatted only when a check fails.
     if not isinstance(obj, dict):
-        raise SchemaViolation(f"{path}: expected object")
-    _reject_extras(obj, _STEP_REQUIRED + _STEP_OPTIONAL, path)
-    step_id = _require(obj, "step_id", int, path)
-    agent = _require(obj, "agent", str, path)
-    action_type = _require(obj, "action_type", str, path)
-    text_in = _require(obj, "input", str, path)
-    text_out = _require(obj, "output", str, path)
-    timestamp = _require(obj, "timestamp", str, path)
+        raise SchemaViolation(f"steps[{index}]: expected object")
+    if not _STEP_KEYS.issuperset(obj):
+        _reject_extras(obj, _STEP_KEYS, f"steps[{index}]")
+    step_id = obj.get("step_id")
+    if not isinstance(step_id, int) or isinstance(step_id, bool):
+        raise _field_error(obj, "step_id", int, f"steps[{index}]")
+    for key in _STEP_TEXT:
+        if not isinstance(obj.get(key), str):
+            raise _field_error(obj, key, str, f"steps[{index}]")
     confidence = obj.get("confidence")
     if confidence is not None and not isinstance(confidence, (int, float)):
-        raise SchemaViolation(f"{path}.confidence: expected number")
-    produces = _parse_names(obj.get("produces"), f"{path}.produces")
-    consumes = _parse_names(obj.get("consumes"), f"{path}.consumes")
+        raise SchemaViolation(f"steps[{index}].confidence: expected number")
     return Step(
         step_id=step_id,
-        agent=agent,
-        action_type=action_type,
-        input=text_in,
-        output=text_out,
-        timestamp=timestamp,
+        agent=obj["agent"],
+        action_type=obj["action_type"],
+        input=obj["input"],
+        output=obj["output"],
+        timestamp=obj["timestamp"],
         confidence=float(confidence) if confidence is not None else None,
-        produces=produces,
-        consumes=consumes,
+        produces=_parse_names(obj.get("produces"), index, "produces"),
+        consumes=_parse_names(obj.get("consumes"), index, "consumes"),
     )
 
 
-def _parse_names(value: object, path: str) -> tuple[str, ...] | None:
+def _parse_names(value: object, index: int, key: str) -> tuple[str, ...] | None:
     if value is None:
         return None
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise SchemaViolation(f"{path}: expected list of strings")
+        raise SchemaViolation(f"steps[{index}].{key}: expected list of strings")
     return tuple(value)
 
 

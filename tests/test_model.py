@@ -127,6 +127,7 @@ def _set(index, **fields):
         (_set(2, step_id="3"), "steps[2].step_id: expected <class 'int'>, got str"),
         (_set(2, step_id=True), "steps[2].step_id: expected <class 'int'>, got bool"),
         (_set(2, timestamp=5), "steps[2].timestamp: expected <class 'str'>, got int"),
+        (_set(2, output=None), "steps[2].output: expected <class 'str'>, got NoneType"),
         (_set(2, produces="x"), "steps[2].produces: expected list of strings"),
         (_set(2, consumes=["x", 1]), "steps[2].consumes: expected list of strings"),
         (_set(2, confidence="high"), "steps[2].confidence: expected number"),
