@@ -30,7 +30,6 @@ from .baselines import (
     llm_baseline,
     random_baseline,
 )
-from .benchgen import make_bench_trace
 from .errors import DegenerateTable, EmptyBenchmark, MissingAnswers, SchemaViolation
 from .features import FeatureConfig
 from .model import ExecutionTrace
@@ -369,6 +368,8 @@ def runtime_bench(
     Times exclude JSON parsing: traces are pre-built, the clock covers
     graph construction through ranking. Single-threaded by design.
     """
+    from .benchgen import make_bench_trace
+
     weights = weights or WeightVector()
     config = config or FeatureConfig()
     rows = []

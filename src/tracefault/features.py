@@ -4,8 +4,11 @@ Seventeen raw features are computed for every candidate node, organized in
 five groups: position (4), structure (4), content (4), flow (3), confidence
 (2). Each feature is min-max normalized over the candidate set with an
 epsilon guard, oriented so that higher always means "more suspicious", then
-averaged within its group. ``compute_features`` returns only those group
-scores, which are all that ranking needs.
+averaged within its group. Every stage works on columns: one list per
+feature (or group) over the candidates in ascending step order.
+``compute_features`` returns only the five group columns, which are all that
+ranking needs. The distance to the error is each candidate's reverse-BFS
+layer, which ``backtrace`` already records in ``CandidateSet.depth_of``.
 
 Orientation is configurable per feature (+1 keeps the normalized value, -1
 flips it to ``1 - value``). The default orientation scores a node as
@@ -32,9 +35,9 @@ import json
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .graph import CausalGraph, betweenness, descendants, distances_to, longest_path_depth
+from .graph import CandidateSet, CausalGraph, betweenness, descendants, longest_path_depth
 from .model import ExecutionTrace
 
 FEATURE_GROUPS: dict[str, tuple[str, ...]] = {
@@ -133,6 +136,8 @@ ROLE_CLASS_WEIGHTS: tuple[tuple[float, tuple[str, ...]], ...] = (
 
 DEFAULT_ROLE_WEIGHT = 0.5
 
+KEYWORD_FIELDS = ("error_keywords", "uncertainty_keywords", "hedge_words")
+
 _WORD_RE = re.compile(r"[a-z0-9_]+")
 
 
@@ -156,14 +161,22 @@ class FeatureConfig:
     orientation: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_ORIENTATION))
 
     def __post_init__(self) -> None:
+        for name in KEYWORD_FIELDS:
+            keywords = getattr(self, name)
+            if not isinstance(keywords, tuple) or not all(isinstance(k, str) for k in keywords):
+                raise ValueError(f"{name} must be a list of strings")
         for name, weight in self.role_weights.items():
             if not 0.0 <= weight <= 1.0:
                 raise ValueError(f"role weight for {name!r} must lie in [0, 1]")
         missing = set(ALL_FEATURES) - set(self.orientation)
         if missing:
             raise ValueError(f"orientation missing for features: {sorted(missing)}")
+        unknown = set(self.orientation) - set(ALL_FEATURES)
+        if unknown:
+            raise ValueError(f"orientation for unknown features: {sorted(unknown)}")
         for name, sign in self.orientation.items():
-            if sign not in (-1, 1):
+            # ``type`` rather than ``isinstance``: ``True == 1`` is no sign.
+            if type(sign) is not int or sign not in (-1, 1):
                 raise ValueError(f"orientation for {name!r} must be +1 or -1")
 
     def role_weight(self, agent: str) -> float:
@@ -185,23 +198,25 @@ class FeatureConfig:
 
     @staticmethod
     def from_obj(obj: dict) -> "FeatureConfig":
-        base = FeatureConfig()
+        unknown = set(obj) - {f.name for f in fields(FeatureConfig)}
+        if unknown:
+            raise ValueError(f"unknown keys: {sorted(unknown)}")
         orientation = dict(DEFAULT_ORIENTATION)
-        orientation.update({k: int(v) for k, v in obj.get("orientation", {}).items()})
+        orientation.update(obj.get("orientation", {}))
         role_weights = default_role_weights()
         role_weights.update(
             {k.lower(): float(v) for k, v in obj.get("role_weights", {}).items()}
         )
+        # A JSON list becomes a tuple; anything else reaches the field check.
+        keywords = {
+            name: tuple(obj[name]) if isinstance(obj[name], list) else obj[name]
+            for name in KEYWORD_FIELDS
+            if name in obj
+        }
         return FeatureConfig(
-            error_keywords=tuple(obj.get("error_keywords", base.error_keywords)),
-            uncertainty_keywords=tuple(
-                obj.get("uncertainty_keywords", base.uncertainty_keywords)
-            ),
-            hedge_words=tuple(obj.get("hedge_words", base.hedge_words)),
+            **keywords,
             role_weights=role_weights,
-            default_role_weight=float(
-                obj.get("default_role_weight", base.default_role_weight)
-            ),
+            default_role_weight=float(obj.get("default_role_weight", DEFAULT_ROLE_WEIGHT)),
             orientation=orientation,
         )
 
@@ -217,25 +232,24 @@ def _count_matches(words: list[str], keyword_set: frozenset[str]) -> int:
 def extract_raw(
     trace: ExecutionTrace,
     graph: CausalGraph,
-    candidates,
-    error_node: int,
+    candidates: CandidateSet,
     config: FeatureConfig,
-) -> dict[int, dict[str, float]]:
-    """Compute the 17 raw feature values for every candidate node.
+) -> dict[str, list[float]]:
+    """Compute the 17 raw feature columns, keyed in ``ALL_FEATURES`` order;
+    each column lists the candidates in ascending step order.
 
     ``content(v)`` is bound to the step's output text. Degree features are
     scaled by the maximum over *all* nodes; distance/depth ratios by the
     maximum over the candidate set (the min-max step downstream makes both
-    choices equivalent up to epsilon). Unreachable distances substitute the
-    node count before scaling.
+    choices equivalent up to epsilon). The distance to the error is the
+    candidate's ``depth_of`` layer from ``backtrace``: a reverse-BFS layer is
+    the shortest directed distance to the anchor.
     """
-    members = sorted(candidates)
+    members = sorted(candidates.members)
     n = len(graph.nodes)
-    dist = distances_to(graph, error_node)
-    dist_sub = {v: (d if math.isfinite(d) else float(n)) for v, d in dist.items()}
-    max_dist = max((dist_sub[v] for v in members), default=0.0)
-    depth = longest_path_depth(graph)
-    max_depth_val = max((depth[v] for v in members), default=0)
+    dist = [candidates.depth_of[v] for v in members]
+    longest = longest_path_depth(graph)
+    depth = [longest[v] for v in members]
     max_out = max((graph.out_degree(v) for v in graph.nodes), default=0)
     max_in = max((graph.in_degree(v) for v in graph.nodes), default=0)
     betw = betweenness(graph, members)
@@ -252,84 +266,84 @@ def extract_raw(
         for keywords in (config.error_keywords, config.uncertainty_keywords, config.hedge_words)
     )
     keyword_set = error_set | uncertainty_set
+    steps = [trace.step(v) for v in members]
+    words = [_words(step.output) for step in steps]
 
-    result: dict[int, dict[str, float]] = {}
-    for v in members:
-        step = trace.step(v)
-        out_words = _words(step.output)
-        keyword_count = _count_matches(out_words, keyword_set)
-        if sigma > 0:
-            anomaly = min(abs(len(step.output) - mu) / (3.0 * sigma), 1.0)
-        else:
-            anomaly = 0.0
-        raw: dict[str, float] = {
-            "normalized_position": v / n,
-            "distance_to_error": (dist_sub[v] / max_dist) if max_dist > 0 else 0.0,
-            "depth_ratio": (depth[v] / max_depth_val) if max_depth_val > 0 else 0.0,
-            "reverse_position": 1.0 - v / n,
-            "out_degree": (graph.out_degree(v) / max_out) if max_out > 0 else 0.0,
-            "in_degree": (graph.in_degree(v) / max_in) if max_in > 0 else 0.0,
-            "betweenness": betw[v],
-            "reachability": reach[v].bit_count() / n,
-            "error_keywords": float(_count_matches(out_words, error_set) > 0),
-            "uncertainty": float(_count_matches(out_words, uncertainty_set) > 0),
-            "length_anomaly": anomaly,
-            "keyword_density": (keyword_count / len(out_words)) if out_words else 0.0,
-            "agent_switch": float(
-                v > 1 and trace.step(v - 1).agent != step.agent
-            ),
-            "role_criticality": config.role_weight(step.agent),
-            "communication": float(step.action_type == "message"),
-            "stated_confidence": step.confidence if step.confidence is not None else 0.5,
-            "hedging_score": min(_count_matches(out_words, hedge_set) / 10.0, 1.0),
-        }
-        result[v] = raw
-    return result
+    def scaled(values, top):
+        return [x / top if top > 0 else 0.0 for x in values]
+
+    def any_of(keywords):
+        return [float(_count_matches(w, keywords) > 0) for w in words]
+
+    return {
+        "normalized_position": [v / n for v in members],
+        "distance_to_error": scaled(dist, max(dist)),
+        "depth_ratio": scaled(depth, max(depth)),
+        "reverse_position": [1.0 - v / n for v in members],
+        "out_degree": scaled([graph.out_degree(v) for v in members], max_out),
+        "in_degree": scaled([graph.in_degree(v) for v in members], max_in),
+        "betweenness": [betw[v] for v in members],
+        "reachability": [reach[v].bit_count() / n for v in members],
+        "error_keywords": any_of(error_set),
+        "uncertainty": any_of(uncertainty_set),
+        "length_anomaly": [
+            min(abs(len(step.output) - mu) / (3.0 * sigma), 1.0) if sigma > 0 else 0.0
+            for step in steps
+        ],
+        "keyword_density": [_count_matches(w, keyword_set) / len(w) if w else 0.0 for w in words],
+        "agent_switch": [
+            float(v > 1 and trace.step(v - 1).agent != step.agent)
+            for v, step in zip(members, steps)
+        ],
+        "role_criticality": [config.role_weight(step.agent) for step in steps],
+        "communication": [float(step.action_type == "message") for step in steps],
+        "stated_confidence": [
+            step.confidence if step.confidence is not None else 0.5 for step in steps
+        ],
+        "hedging_score": [min(_count_matches(w, hedge_set) / 10.0, 1.0) for w in words],
+    }
 
 
-def normalize(raw_by_node: dict[int, dict[str, float]]) -> dict[int, dict[str, float]]:
-    """Min-max normalize each feature over the candidate population, keyed
-    by step id in ascending order.
+def normalize(values: list[float]) -> list[float]:
+    """Min-max normalize one feature column over the candidate population.
 
     ``(f - min) / (max - min + epsilon)``: a constant feature maps to zero
     for every node rather than dividing by zero.
     """
-    if not raw_by_node:
-        raise ValueError("normalize requires at least one candidate")
-    nodes = sorted(raw_by_node)
-    normalized: dict[int, dict[str, float]] = {v: {} for v in nodes}
-    for feature in ALL_FEATURES:
-        values = [raw_by_node[v][feature] for v in nodes]
-        lo, hi = min(values), max(values)
-        span = hi - lo + EPSILON
-        for v, value in zip(nodes, values):
-            normalized[v][feature] = (value - lo) / span
-    return normalized
+    lo, hi = min(values), max(values)
+    span = hi - lo + EPSILON
+    return [(value - lo) / span for value in values]
 
 
 def group_scores(
-    normalized: dict[str, float], orientation: dict[str, int]
-) -> dict[str, float]:
-    """Orient each normalized feature, then average within its group."""
-    scores: dict[str, float] = {}
-    for group, names in FEATURE_GROUPS.items():
-        total = 0.0
+    normalized: dict[str, list[float]], orientation: dict[str, int]
+) -> tuple[list[float], ...]:
+    """Orient each normalized column, then average within its group: one
+    column per group in ``FEATURE_GROUPS`` order. Each candidate's group sum
+    starts at ``0.0`` and adds its features left to right."""
+    groups = []
+    for names in FEATURE_GROUPS.values():
+        totals = [0.0] * len(normalized[names[0]])
         for name in names:
-            value = normalized[name]
-            total += value if orientation[name] == 1 else 1.0 - value
-        scores[group] = total / len(names)
-    return scores
+            flip = orientation[name] != 1
+            totals = [
+                total + (1.0 - value if flip else value)
+                for total, value in zip(totals, normalized[name])
+            ]
+        groups.append([total / len(names) for total in totals])
+    return tuple(groups)
 
 
 def compute_features(
     trace: ExecutionTrace,
     graph: CausalGraph,
-    candidates,
-    error_node: int,
+    candidates: CandidateSet,
     config: FeatureConfig | None = None,
-) -> dict[int, dict[str, float]]:
-    """Group scores of every candidate, keyed by step id in ascending order:
-    raw extraction, normalization, then orientation and group averages."""
+) -> tuple[list[float], ...]:
+    """The five group-score columns in ``FEATURE_GROUPS`` order, each over
+    the candidates in ascending step order: raw extraction, normalization,
+    then orientation and group averages."""
     config = config or FeatureConfig()
-    normalized = normalize(extract_raw(trace, graph, candidates, error_node, config))
-    return {v: group_scores(values, config.orientation) for v, values in normalized.items()}
+    raw = extract_raw(trace, graph, candidates, config)
+    normalized = {name: normalize(column) for name, column in raw.items()}
+    return group_scores(normalized, config.orientation)

@@ -189,17 +189,30 @@ def build_graph(trace: ExecutionTrace) -> CausalGraph:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Result of backward tracing: members plus their BFS discovery layer."""
+    """Result of backward tracing: members plus their BFS discovery layer.
+
+    A node's layer is its shortest directed distance to the error node; the
+    ``distance_to_error`` feature reads it from ``depth_of``.
+    """
 
     members: frozenset[int]
     depth_of: dict[int, int] = field(compare=False)
 
 
-def _reverse_depths(graph: CausalGraph, node: int, max_depth: int) -> dict[int, int]:
-    """Reverse-BFS layer of ``node`` (0) and of its ancestors within
-    ``max_depth`` layers: each layer ORs its frontier's ``preds`` masks."""
+def backtrace(graph: CausalGraph, error_node: int, max_depth: int = 10) -> CandidateSet:
+    """Collect ancestors of ``error_node`` within ``max_depth`` BFS layers.
+
+    Layered breadth-first traversal over reverse edges: the candidate set
+    starts as ``{error_node}`` (layer 0) and each of the ``max_depth``
+    rounds adds the not-yet-seen parents of the current frontier, the OR of
+    its ``preds`` masks.
+    """
+    if error_node not in graph:
+        raise NodeNotFound(f"error node {error_node} not in graph")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     depth_of: dict[int, int] = {}
-    frontier = seen = 1 << node
+    frontier = seen = 1 << error_node
     for layer in range(max_depth + 1):
         parents = 0
         for v in _bits(frontier):
@@ -209,21 +222,6 @@ def _reverse_depths(graph: CausalGraph, node: int, max_depth: int) -> dict[int, 
         if not frontier:
             break
         seen |= frontier
-    return depth_of
-
-
-def backtrace(graph: CausalGraph, error_node: int, max_depth: int = 10) -> CandidateSet:
-    """Collect ancestors of ``error_node`` within ``max_depth`` BFS layers.
-
-    Layered breadth-first traversal over reverse edges: the candidate set
-    starts as ``{error_node}`` (layer 0) and each of the ``max_depth``
-    rounds adds the not-yet-seen parents of the current frontier.
-    """
-    if error_node not in graph:
-        raise NodeNotFound(f"error node {error_node} not in graph")
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
-    depth_of = _reverse_depths(graph, error_node, max_depth)
     return CandidateSet(members=frozenset(depth_of), depth_of=depth_of)
 
 
@@ -267,14 +265,6 @@ def _ancestor_sweep(graph: CausalGraph) -> tuple[dict[int, int], dict[int, int]]
             rest &= ~mask
         closed[v], depth[v] = mask, d
     return closed, depth
-
-
-def distances_to(graph: CausalGraph, dst: int) -> dict[int, float]:
-    """Directed distance from every node to ``dst`` in one reverse BFS."""
-    if dst not in graph:
-        raise NodeNotFound(f"node {dst} not in graph")
-    dist = _reverse_depths(graph, dst, len(graph.nodes))
-    return {v: dist.get(v, float("inf")) for v in graph.nodes}
 
 
 def longest_path_depth(graph: CausalGraph) -> dict[int, int]:

@@ -7,9 +7,9 @@ decision.
 
 Only that last step depends on the weights, so ``feature_table`` reduces a
 trace once (graph, backtrace, features) to a ``FeatureTable``: the candidate
-ids and the group scores ``compute_features`` returns, packed row by row into
-one ``array('d')``. ``rank`` builds one and scores it in plain Python. A
-score is always summed left to right in ``GROUP_ORDER``, as ``score`` does:
+ids and the five group columns ``compute_features`` returns, interleaved once
+into one row-major ``array('d')``. ``rank`` builds one and scores it in plain
+Python. A score is always summed left to right in ``GROUP_ORDER``:
 floating-point addition is not associative, so a sum in another order (a
 matmul, say) could change a last digit and flip a tie. A ``RankedDiagnosis``
 is that table plus the sorted ``(score, step_id)`` pairs; only its report
@@ -82,15 +82,6 @@ class WeightVector:
         return WeightVector(w_position, *(w * scale for w in rest))
 
 
-def score(group_score_map: dict[str, float], weights: WeightVector) -> float:
-    """Weighted sum of the five group scores, added left to right in ``GROUP_ORDER``."""
-    w = weights.as_dict()
-    total = 0.0
-    for group in GROUP_ORDER:
-        total += w[group] * group_score_map[group]
-    return total
-
-
 @dataclass(frozen=True)
 class RankedDiagnosis:
     """A ``FeatureTable`` scored under one weight vector.
@@ -156,7 +147,7 @@ class FeatureTable:
 
     def scores(self, weights: WeightVector) -> list[float]:
         """Candidate scores in ``step_ids`` order, each summed left to right
-        in ``GROUP_ORDER`` exactly as ``score`` does."""
+        in ``GROUP_ORDER``."""
         w0, w1, w2, w3, w4 = weights.as_tuple()
         values = iter(self.groups)
         # Five references to one iterator: zip yields one row per step.
@@ -202,15 +193,16 @@ def feature_table(
     t1 = time.perf_counter()
     candidates = backtrace(graph, anchor, max_depth)
     t2 = time.perf_counter()
-    groups = compute_features(trace, graph, candidates.members, anchor, config)
+    columns = compute_features(trace, graph, candidates, config)
     t3 = time.perf_counter()
     timings = {
         "graph_construction": (t1 - t0) * 1e3,
         "backward_tracing": (t2 - t1) * 1e3,
         "feature_extraction": (t3 - t2) * 1e3,
     }
-    rows = array("d", [scores[g] for scores in groups.values() for g in GROUP_ORDER])
-    return FeatureTable(trace.scenario_id, anchor, tuple(groups), rows, config, timings)
+    rows = array("d", [x for row in zip(*columns) for x in row])
+    step_ids = tuple(sorted(candidates.members))
+    return FeatureTable(trace.scenario_id, anchor, step_ids, rows, config, timings)
 
 
 def rank(

@@ -160,6 +160,38 @@ def test_analyze_truncated_input_json_exits_3_naming_the_file(
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"orientation": {"betweeness": -1}}, "orientation for unknown features: ['betweeness']"),
+        ({"orientation": {"hedging_score": 1.9}}, "orientation for 'hedging_score' must be +1 or -1"),
+        ({"orientation": {"hedging_score": True}}, "orientation for 'hedging_score' must be +1 or -1"),
+        ({"error_keyword": ["x"]}, "unknown keys: ['error_keyword']"),
+        ({"error_keywords": "error"}, "error_keywords must be a list of strings"),
+    ],
+    ids=["misspelled-feature", "fractional-sign", "boolean-sign", "unknown-key", "string-keywords"],
+)
+def test_analyze_invalid_feature_config_exits_3_naming_the_file(
+    tmp_path, example1_path, capsys, config, message
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["analyze", str(example1_path), "--feature-config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_analyze_accepts_a_partial_feature_config(tmp_path, example1_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"orientation": {"stated_confidence": 1}, "hedge_words": ["may"]}))
+    out = tmp_path / "analysis.json"
+    argv = ["analyze", str(example1_path), "--feature-config", str(path), "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["candidates"]
+
+
 def test_evaluate_blind_answer_without_bug_type_exits_3(tmp_path, example1_bytes, capsys):
     (tmp_path / "scenarios").mkdir()
     (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
@@ -270,6 +302,18 @@ def test_analyze_never_loads_numpy(example1_path, tmp_path):
     assert "numpy" not in modules
     for name in ("evaluation", "benchgen", "baselines", "weights", "stats"):
         assert f"tracefault.{name}" not in modules
+
+
+def test_evaluate_never_loads_benchgen(tmp_path, example1_bytes):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
+    out_dir = tmp_path / "out"
+    modules = modules_after_main(
+        ["evaluate", str(tmp_path), "--methods", "tracefault", "--out-dir", str(out_dir)]
+    )
+    assert (out_dir / "metrics.json").exists()
+    assert "tracefault.evaluation" in modules
+    assert "tracefault.benchgen" not in modules
 
 
 def test_learn_weights_never_loads_numpy(tmp_path, example1_bytes, example2_bytes):

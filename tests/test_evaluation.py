@@ -20,7 +20,7 @@ from tracefault.evaluation import (
 from tracefault.features import FeatureConfig, compute_features
 from tracefault.graph import backtrace, build_graph
 from tracefault.model import DOMAINS
-from tracefault.ranking import WeightVector, feature_table, rank, score
+from tracefault.ranking import WeightVector, feature_table, rank
 from tracefault.stats import hit_at_k
 from tracefault.weights import SWEEP_POSITION_VALUES, grid_search
 
@@ -49,19 +49,32 @@ def feature_calls(monkeypatch):
     return calls
 
 
+def left_to_right(columns, weights):
+    """Each candidate's weighted sum of its group scores, added from 0.0
+    left to right in group order."""
+    totals = []
+    for row in zip(*columns):
+        total = 0.0
+        for w, x in zip(weights.as_tuple(), row):
+            total += w * x
+        totals.append(total)
+    return totals
+
+
 def test_table_scores_equal_fresh_rank_for_every_weight_vector(sample):
     for unit in sample:
         table = feature_table(unit.trace)
         graph = build_graph(unit.trace)
-        anchor = len(unit.trace)
-        features = compute_features(unit.trace, graph, backtrace(graph, anchor).members, anchor)
+        candidates = backtrace(graph, len(unit.trace))
+        columns = compute_features(unit.trace, graph, candidates)
+        steps = sorted(candidates.members)
         kept = rank(unit.trace).table
         for weights in REWEIGHTS:
             scored = [(v, s) for s, v in table.rank(weights).ranked]
             fresh = [(v, s) for s, v in rank(unit.trace, weights=weights).ranked]
             assert [(v, s) for s, v in kept.rank(weights).ranked] == scored
             oracle = sorted(
-                ((v, score(groups, weights)) for v, groups in features.items()),
+                zip(steps, left_to_right(columns, weights)),
                 key=lambda item: (-item[1], item[0]),
             )
             assert scored == fresh == oracle

@@ -15,7 +15,7 @@ from tracefault.features import (
     group_scores,
     normalize,
 )
-from tracefault.graph import build_graph
+from tracefault.graph import backtrace, build_graph
 from tracefault.model import ExecutionTrace, Step
 
 # Earliness-only position variant: every position feature rewards being
@@ -72,7 +72,7 @@ def chain5():
 
 def test_feature_registry_is_complete():
     assert len(ALL_FEATURES) == 17
-    assert [len(v) for v in FEATURE_GROUPS.values()] == [4, 4, 3, 4, 2] or True
+    assert [len(v) for v in FEATURE_GROUPS.values()] == [4, 4, 4, 3, 2]
     sizes = {g: len(names) for g, names in FEATURE_GROUPS.items()}
     assert sizes == {
         "position": 4,
@@ -83,54 +83,77 @@ def test_feature_registry_is_complete():
     }
 
 
-def test_raw_position_features_on_chain(chain5):
+def raw_by_step(trace, anchor, config=None):
+    """``extract_raw`` over the backtrace from ``anchor``, as
+    ``{feature: {step_id: value}}``."""
+    graph = build_graph(trace)
+    candidates = backtrace(graph, anchor)
+    columns = extract_raw(trace, graph, candidates, config or FeatureConfig())
+    steps = sorted(candidates.members)
+    return {name: dict(zip(steps, column)) for name, column in columns.items()}
+
+
+def test_raw_columns_follow_all_features_and_step_order(chain5):
     trace, graph = chain5
-    raw = extract_raw(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig())
-    assert raw[1]["normalized_position"] == pytest.approx(0.2)
-    assert raw[1]["reverse_position"] == pytest.approx(0.8)
-    assert raw[1]["reachability"] == pytest.approx(0.8)
-    assert raw[5]["normalized_position"] == pytest.approx(1.0)
-    assert raw[5]["reachability"] == 0.0
+    columns = extract_raw(trace, graph, backtrace(graph, 5), FeatureConfig())
+    assert tuple(columns) == ALL_FEATURES
+    assert all(len(column) == 5 for column in columns.values())
+    assert columns["normalized_position"] == [0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def test_raw_position_features_on_chain(chain5):
+    trace, _ = chain5
+    raw = raw_by_step(trace, 5)
+    assert raw["normalized_position"][1] == pytest.approx(0.2)
+    assert raw["reverse_position"][1] == pytest.approx(0.8)
+    assert raw["reachability"][1] == pytest.approx(0.8)
+    assert raw["normalized_position"][5] == pytest.approx(1.0)
+    assert raw["reachability"][5] == 0.0
     # distance scaled by the max over candidates (node 1 is farthest)
-    assert raw[1]["distance_to_error"] == pytest.approx(1.0)
-    assert raw[4]["distance_to_error"] == pytest.approx(0.25)
-    assert raw[3]["depth_ratio"] == pytest.approx(0.5)
+    assert raw["distance_to_error"][1] == pytest.approx(1.0)
+    assert raw["distance_to_error"][4] == pytest.approx(0.25)
+    assert raw["depth_ratio"][3] == pytest.approx(0.5)
+
+
+def test_distance_to_error_is_the_backtrace_layer():
+    # Step 2 also feeds step 5 directly, so its shortest distance (1) is
+    # below its step gap (3); step 1 reaches 5 through 2 in two hops.
+    trace = chain_trace(5)
+    steps = list(trace.steps)
+    steps[4] = replace(steps[4], consumes=("art_4", "art_2"))
+    trace = replace(trace, steps=tuple(steps))
+    graph = build_graph(trace)
+    candidates = backtrace(graph, 5)
+    assert candidates.depth_of == {5: 0, 4: 1, 2: 1, 3: 2, 1: 2}
+    raw = raw_by_step(trace, 5)
+    assert raw["distance_to_error"] == {1: 1.0, 2: 0.5, 3: 1.0, 4: 0.5, 5: 0.0}
 
 
 def test_error_keyword_indicator():
     outputs = ["all good", "an error appeared here", "fine", "fine", "fine"]
-    trace = chain_trace(5, outputs=outputs)
-    graph = build_graph(trace)
-    raw = extract_raw(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig())
-    assert raw[2]["error_keywords"] == 1.0
-    assert raw[1]["error_keywords"] == 0.0
+    raw = raw_by_step(chain_trace(5, outputs=outputs), 5)
+    assert raw["error_keywords"][2] == 1.0
+    assert raw["error_keywords"][1] == 0.0
     # whole-word matching: "SyntaxError" is one token, not the keyword
-    trace2 = chain_trace(3, outputs=["ok", "SyntaxError raised", "ok"])
-    raw2 = extract_raw(trace2, build_graph(trace2), [1, 2, 3], 3, FeatureConfig())
-    assert raw2[2]["error_keywords"] == 0.0
+    raw2 = raw_by_step(chain_trace(3, outputs=["ok", "SyntaxError raised", "ok"]), 3)
+    assert raw2["error_keywords"][2] == 0.0
 
 
 def test_equal_lengths_zero_anomaly():
-    trace = chain_trace(4, outputs=["aaaa", "bbbb", "cccc", "dddd"])
-    graph = build_graph(trace)
-    raw = extract_raw(trace, graph, [1, 2, 3, 4], 4, FeatureConfig())
-    assert all(raw[v]["length_anomaly"] == 0.0 for v in raw)
+    raw = raw_by_step(chain_trace(4, outputs=["aaaa", "bbbb", "cccc", "dddd"]), 4)
+    assert all(value == 0.0 for value in raw["length_anomaly"].values())
 
 
 def test_stated_confidence_default_and_passthrough():
-    trace = chain_trace(3, confidences=[0.9, None, 0.2])
-    graph = build_graph(trace)
-    raw = extract_raw(trace, graph, [1, 2, 3], 3, FeatureConfig())
-    assert raw[1]["stated_confidence"] == 0.9
-    assert raw[2]["stated_confidence"] == 0.5
-    assert raw[3]["stated_confidence"] == 0.2
+    raw = raw_by_step(chain_trace(3, confidences=[0.9, None, 0.2]), 3)
+    assert raw["stated_confidence"] == {1: 0.9, 2: 0.5, 3: 0.2}
 
 
 def test_agent_switch_zero_for_first_step(chain5):
-    trace, graph = chain5
-    raw = extract_raw(trace, graph, [1, 2, 3], 5, FeatureConfig())
-    assert raw[1]["agent_switch"] == 0.0
-    assert raw[2]["agent_switch"] == 1.0
+    trace, _ = chain5
+    raw = raw_by_step(trace, 3)
+    assert raw["agent_switch"][1] == 0.0
+    assert raw["agent_switch"][2] == 1.0
 
 
 def test_hedging_and_density():
@@ -139,70 +162,70 @@ def test_hedging_and_density():
         "plain statement",
         "plain statement",
     ]
-    trace = chain_trace(3, outputs=outputs)
-    graph = build_graph(trace)
-    raw = extract_raw(trace, graph, [1, 2, 3], 3, FeatureConfig())
+    raw = raw_by_step(chain_trace(3, outputs=outputs), 3)
     # seems, could, possibly, roughly, maybe -> 5 hedge words / 10
-    assert raw[1]["hedging_score"] == pytest.approx(0.5)
-    assert raw[1]["uncertainty"] == 1.0
+    assert raw["hedging_score"][1] == pytest.approx(0.5)
+    assert raw["uncertainty"][1] == 1.0
     # keyword density: possibly + maybe over 9 word tokens
-    assert raw[1]["keyword_density"] == pytest.approx(2 / 9)
+    assert raw["keyword_density"][1] == pytest.approx(2 / 9)
 
 
 def test_normalize_affine_map():
-    raw = {1: {f: 0.0 for f in ALL_FEATURES}, 2: {f: 0.0 for f in ALL_FEATURES}, 3: {f: 0.0 for f in ALL_FEATURES}}
-    for node, value in zip((1, 2, 3), (2.0, 4.0, 6.0)):
-        raw[node]["betweenness"] = value
-    norm = normalize(raw)
-    assert norm[1]["betweenness"] == pytest.approx(0.0, abs=1e-7)
-    assert norm[2]["betweenness"] == pytest.approx(0.5, abs=1e-7)
-    assert norm[3]["betweenness"] == pytest.approx(1.0, abs=1e-7)
+    assert normalize([2.0, 4.0, 6.0]) == pytest.approx([0.0, 0.5, 1.0], abs=1e-7)
 
 
 def test_normalize_constant_feature_maps_to_zero():
-    raw = {v: {f: 5.0 for f in ALL_FEATURES} for v in (1, 2, 3)}
-    norm = normalize(raw)
-    assert all(norm[v][f] == 0.0 for v in norm for f in ALL_FEATURES)
+    assert normalize([5.0, 5.0, 5.0]) == [0.0, 0.0, 0.0]
 
 
 def test_normalize_singleton_candidate():
-    raw = {7: {f: 3.0 for f in ALL_FEATURES}}
-    norm = normalize(raw)
-    assert all(value == 0.0 for value in norm[7].values())
+    assert normalize([3.0]) == [0.0]
 
 
 def test_group_scores_all_ones():
-    normalized = {f: 1.0 for f in ALL_FEATURES}
+    normalized = {f: [1.0] for f in ALL_FEATURES}
     orientation = {f: 1 for f in ALL_FEATURES}
     scores = group_scores(normalized, orientation)
-    assert all(v == pytest.approx(1.0) for v in scores.values())
+    assert len(scores) == len(FEATURE_GROUPS)
+    assert all(column == [pytest.approx(1.0)] for column in scores)
 
 
 def test_group_scores_structure_mean():
-    normalized = {f: 0.0 for f in ALL_FEATURES}
+    normalized = {f: [0.0] for f in ALL_FEATURES}
     for name, value in zip(FEATURE_GROUPS["structure"], (0.2, 0.4, 0.6, 0.8)):
-        normalized[name] = value
-    scores = group_scores(normalized, {f: 1 for f in ALL_FEATURES})
-    assert scores["structure"] == pytest.approx(0.5)
+        normalized[name] = [value]
+    scores = dict(zip(FEATURE_GROUPS, group_scores(normalized, {f: 1 for f in ALL_FEATURES})))
+    assert scores["structure"] == [pytest.approx(0.5)]
+
+
+def test_group_scores_sum_left_to_right_from_zero():
+    # Three features whose left-to-right sum differs from other orders in
+    # the last digit: the flow group must add them in FEATURE_GROUPS order.
+    normalized = {f: [0.0] for f in ALL_FEATURES}
+    for name, value in zip(FEATURE_GROUPS["flow"], (0.1, 0.2, 0.3)):
+        normalized[name] = [value]
+    scores = dict(zip(FEATURE_GROUPS, group_scores(normalized, {f: 1 for f in ALL_FEATURES})))
+    assert scores["flow"] == [(0.0 + 0.1 + 0.2 + 0.3) / 3]
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
 
 
 def test_orientation_flip():
-    normalized = {f: 0.2 for f in ALL_FEATURES}
-    orientation = dict(DEFAULT_ORIENTATION)
-    scores = group_scores(normalized, orientation)
+    normalized = {f: [0.2] for f in ALL_FEATURES}
+    scores = dict(zip(FEATURE_GROUPS, group_scores(normalized, dict(DEFAULT_ORIENTATION))))
     # confidence group: stated_confidence flipped (0.8), hedging kept (0.2)
-    assert scores["confidence"] == pytest.approx(0.5)
+    assert scores["confidence"] == [pytest.approx(0.5)]
 
 
 def test_complementarity_after_normalization(chain5):
     # normalized position and reverse position are exact complements once
     # min-max scaled, independent of orientation config
     trace, graph = chain5
-    normalized = normalize(
-        extract_raw(trace, graph, [1, 2, 3, 4, 5], 5, config_with_orientation(ORIENTATION_LITERAL))
+    raw = extract_raw(
+        trace, graph, backtrace(graph, 5), config_with_orientation(ORIENTATION_LITERAL)
     )
-    for values in normalized.values():
-        total = values["normalized_position"] + values["reverse_position"]
+    forward = normalize(raw["normalized_position"])
+    reverse = normalize(raw["reverse_position"])
+    for total in map(sum, zip(forward, reverse)):
         assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -210,50 +233,44 @@ def test_chain_position_group_under_early_dominant(chain5):
     # With every position feature oriented toward earliness, the first chain
     # node strictly dominates later ones.
     trace, graph = chain5
-    features = compute_features(
-        trace, graph, [1, 2, 3, 4, 5], 5,
-        config_with_orientation(ORIENTATION_EARLY_DOMINANT),
+    position, *_ = compute_features(
+        trace, graph, backtrace(graph, 5), config_with_orientation(ORIENTATION_EARLY_DOMINANT)
     )
-    assert features[1]["position"] > features[4]["position"]
+    assert position[0] > position[3]
 
 
 def test_chain_position_group_under_default_is_flat(chain5):
     # The default early-and-close mix cancels exactly on a bare chain: the
     # earliness ramp and the closeness ramp are mirror images there.
     trace, graph = chain5
-    features = compute_features(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig())
-    values = [scores["position"] for scores in features.values()]
-    assert all(v == pytest.approx(0.5, abs=1e-6) for v in values)
+    position, *_ = compute_features(trace, graph, backtrace(graph, 5), FeatureConfig())
+    assert all(v == pytest.approx(0.5, abs=1e-6) for v in position)
 
 
 def test_bounds_all_in_unit_interval(chain5):
     trace, graph = chain5
-    normalized = normalize(extract_raw(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig()))
-    features = compute_features(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig())
-    assert list(features) == list(normalized) == [1, 2, 3, 4, 5]
-    for v in features:
-        for value in list(normalized[v].values()) + list(features[v].values()):
-            assert -1e-9 <= value <= 1.0 + 1e-9
+    candidates = backtrace(graph, 5)
+    raw = extract_raw(trace, graph, candidates, FeatureConfig())
+    normalized = [normalize(column) for column in raw.values()]
+    features = compute_features(trace, graph, candidates, FeatureConfig())
+    assert len(features) == len(FEATURE_GROUPS)
+    for column in normalized + list(features):
+        assert len(column) == 5
+        assert all(-1e-9 <= value <= 1.0 + 1e-9 for value in column)
 
 
 def test_determinism_bit_for_bit(chain5):
     trace, graph = chain5
-    one = compute_features(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig())
-    two = compute_features(trace, graph, [1, 2, 3, 4, 5], 5, FeatureConfig())
+    one = compute_features(trace, graph, backtrace(graph, 5), FeatureConfig())
+    two = compute_features(trace, graph, backtrace(graph, 5), FeatureConfig())
     assert one == two
 
 
 def test_scale_invariance():
-    base = {v: {f: 0.0 for f in ALL_FEATURES} for v in (1, 2, 3)}
-    for node, value in zip((1, 2, 3), (1.0, 2.0, 5.0)):
-        base[node]["out_degree"] = value
-    scaled = {v: dict(base[v]) for v in base}
-    for v in scaled:
-        scaled[v]["out_degree"] *= 37.0
-    norm_base = normalize(base)
-    norm_scaled = normalize(scaled)
-    for v in base:
-        assert abs(norm_base[v]["out_degree"] - norm_scaled[v]["out_degree"]) < 1e-6
+    base = [1.0, 2.0, 5.0]
+    scaled = [value * 37.0 for value in base]
+    for a, b in zip(normalize(base), normalize(scaled)):
+        assert abs(a - b) < 1e-6
 
 
 def test_config_round_trip_and_fingerprint():
@@ -273,6 +290,15 @@ def test_config_validation():
     bad["betweenness"] = 0
     with pytest.raises(ValueError):
         FeatureConfig(orientation=bad)
+    for sign in (True, 1.0):
+        with pytest.raises(ValueError, match="must be \\+1 or -1"):
+            FeatureConfig(orientation={**DEFAULT_ORIENTATION, "betweenness": sign})
+    with pytest.raises(ValueError, match="unknown features"):
+        FeatureConfig(orientation={**DEFAULT_ORIENTATION, "betweeness": 1})
+    with pytest.raises(ValueError, match="error_keywords must be a list of strings"):
+        FeatureConfig(error_keywords="error")
+    with pytest.raises(ValueError, match="unknown keys"):
+        FeatureConfig.from_obj({"error_keyword": ["x"]})
 
 
 def test_role_weights_classes():

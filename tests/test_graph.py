@@ -17,7 +17,6 @@ from tracefault.graph import (
     betweenness,
     build_graph,
     descendants,
-    distances_to,
     longest_path_depth,
 )
 from tracefault.model import ExecutionTrace, Step, parse_scenario
@@ -256,12 +255,6 @@ def test_descendants_of_no_nodes_is_empty():
 def test_descendants_unknown_node():
     with pytest.raises(NodeNotFound):
         descendants(chain_graph(3), (2, 4))
-
-
-def test_shortest_path_len():
-    graph = diamond_graph()
-    assert distances_to(graph, 4) == {1: 2, 2: 1, 3: 1, 4: 0}
-    assert distances_to(graph, 3) == {1: 1, 2: math.inf, 3: 0, 4: math.inf}
 
 
 def test_longest_path_depth():

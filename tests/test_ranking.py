@@ -16,7 +16,6 @@ from tracefault.ranking import (
     WeightVector,
     rank,
     render_markdown,
-    score,
 )
 
 
@@ -31,16 +30,21 @@ def table_of(groups_by_step):
     return FeatureTable("table", 5, step_ids, rows, FeatureConfig())
 
 
+def score(group_scores):
+    """The default-weight score of one candidate, from a one-row table."""
+    return table_of({1: group_scores}).scores(WeightVector())[0]
+
+
 def test_score_all_ones_is_one():
-    assert score(groups(1, 1, 1, 1, 1), WeightVector()) == pytest.approx(1.0)
+    assert score(groups(1, 1, 1, 1, 1)) == pytest.approx(1.0)
 
 
 def test_score_position_only_is_position_weight():
-    assert score(groups(p=1.0), WeightVector()) == pytest.approx(0.70)
+    assert score(groups(p=1.0)) == pytest.approx(0.70)
 
 
 def test_score_convex_combination():
-    assert score(groups(0.5, 0.5, 0.5, 0.5, 0.5), WeightVector()) == pytest.approx(0.5)
+    assert score(groups(0.5, 0.5, 0.5, 0.5, 0.5)) == pytest.approx(0.5)
 
 
 def test_weight_vector_validation():
