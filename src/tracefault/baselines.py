@@ -2,17 +2,18 @@
 
 Every method returns a permutation of the trace's step ids as a tuple,
 rank 1 first, so Hit@k and reciprocal ranks are defined for all of them;
-the rank of step ``v`` is ``ordering.index(v) + 1``:
+the rank of step ``v`` is ``ordering.index(v) + 1``. Like the analyzer,
+every method that needs an error node takes the trace's final step:
 
 * random       -- seeded uniform shuffle, deterministic per (scenario, seed).
 * first_node   -- step 1 first, remainder in step order.
-* last_node    -- the step immediately before the error first, walking
-  backward; the error node comes right after the steps before it, and any
-  steps after the error come last.
+* last_node    -- the step immediately before the final one first, walking
+  backward; the final (error) step ranks last.
 * llm          -- prompt a completion adapter, such as the fixture replay
   below, for the root-cause step number; the named step is promoted to
-  rank 1 and the rest follow in step order. It also says whether it fell
-  back to the last-node ordering on an unusable completion.
+  rank 1 and the rest follow in step order. A completion that names no
+  step of the trace falls back to the last-node ordering, and the method
+  says whether it fell back.
 
 Fixture files are JSON maps from scenario id to completion string, which
 makes CI runs replayable without credentials or network access.
@@ -58,15 +59,11 @@ def first_node_baseline(trace: ExecutionTrace) -> tuple[int, ...]:
     return tuple(s.step_id for s in trace.steps)
 
 
-def last_node_baseline(trace: ExecutionTrace, error_node: int | None = None) -> tuple[int, ...]:
-    """The node immediately before the error first, then walking backward.
-
-    The root cause cannot come after the error, so the error node follows
-    the steps before it and any later steps rank last.
-    """
-    error = error_node if error_node is not None else len(trace)
-    after = [s.step_id for s in trace.steps if s.step_id > error]
-    return (*range(error - 1, 0, -1), error, *after)
+def last_node_baseline(trace: ExecutionTrace) -> tuple[int, ...]:
+    """The step immediately before the final (error) step first, then
+    walking backward; the error step itself ranks last."""
+    n = len(trace)
+    return (*range(n - 1, 0, -1), n)
 
 
 def render_trace(trace: ExecutionTrace) -> str:
@@ -120,33 +117,22 @@ class FixtureAdapter:
             ) from None
 
 
-def llm_baseline(
-    trace: ExecutionTrace,
-    adapter,
-    error_node: int | None = None,
-    strict: bool = True,
-) -> tuple[tuple[int, ...], bool]:
-    """Ask the adapter for the root-cause step; promote it to rank 1.
+def llm_baseline(trace: ExecutionTrace, adapter) -> tuple[tuple[int, ...], bool]:
+    """Ask the adapter for the root-cause step, with the final step as the
+    error, and promote the named step to rank 1.
 
-    Returns ``(ordering, fell_back)``. An unparseable completion raises in
-    strict mode; otherwise the ordering falls back to the last-node one and
-    ``fell_back`` is true.
+    Returns ``(ordering, fell_back)``. A completion that does not lead with a
+    step number, or names one outside the trace, gives the last-node
+    ordering and ``fell_back`` true.
     """
-    error = error_node if error_node is not None else len(trace)
-    completion = adapter.complete(trace, build_prompt(trace, error))
-    step_ids = [s.step_id for s in trace.steps]
+    n = len(trace)
     try:
-        choice = parse_completion(completion)
-        if choice not in step_ids:
-            # Out-of-range step number: treat like an unparseable reply.
-            raise UnparseableCompletion(
-                f"completion names step {choice}, outside the {len(trace)}-step trace"
-            )
+        choice = parse_completion(adapter.complete(trace, build_prompt(trace, n)))
     except UnparseableCompletion:
-        if strict:
-            raise
-        return last_node_baseline(trace, error), True
-    return (choice, *(v for v in step_ids if v != choice)), False
+        choice = 0  # no step: falls back below
+    if not 1 <= choice <= n:
+        return last_node_baseline(trace), True
+    return (choice, *(v for v in range(1, n + 1) if v != choice)), False
 
 
 def classify_llm_error(predicted: int, root: int, error_node: int) -> str:

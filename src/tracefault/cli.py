@@ -254,12 +254,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_learn_weights(args) -> int:
-    from .weights import GridSpec, grid_search, weights_report
+    from .weights import grid_search, weights_report
 
     scenarios = _read_scenarios(Path(args.validation))
     best, table = grid_search(
         scenarios,
-        grid=GridSpec(),
         config=_load_config(args.feature_config),
         max_depth=args.max_depth,
     )

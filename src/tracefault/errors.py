@@ -29,10 +29,6 @@ class EmptyBenchmark(TracefaultError):
     """An aggregate was requested over zero scenarios/outcomes."""
 
 
-class EmptyGrid(TracefaultError):
-    """No grid point satisfies the weight-sum constraint."""
-
-
 class DegenerateTable(TracefaultError):
     """McNemar table with no discordant pairs."""
 

@@ -30,9 +30,15 @@ from .baselines import (
     llm_baseline,
     random_baseline,
 )
-from .errors import DegenerateTable, EmptyBenchmark, MissingAnswers, SchemaViolation
+from .errors import (
+    DegenerateTable,
+    EmptyBenchmark,
+    MissingAnswers,
+    SchemaViolation,
+    TracefaultError,
+)
 from .features import FeatureConfig
-from .model import ExecutionTrace
+from .model import ExecutionTrace, Scenario, parse_ground_truth
 from .ranking import DEFAULT_MAX_DEPTH, GROUP_ORDER, WeightVector, rank
 from .stats import (
     BOOTSTRAP_DEFAULT_B,
@@ -44,7 +50,7 @@ from .stats import (
     mcnemar,
     mrr,
 )
-from .weights import SWEEP_POSITION_VALUES, hit_at_1_by_weights, sweep_rows
+from .weights import hit_at_1_by_weights, sweep_rows
 
 MAIN_METHOD = "tracefault"
 HEURISTIC_METHODS = ("random", "first", "last")
@@ -76,6 +82,9 @@ CHECK_THRESHOLDS = {
     "mrr": 0.93,
     "mcnemar_p_max": 1e-6,
 }
+
+# Untimed ``rank`` calls per size before ``runtime_bench`` starts its clock.
+BENCH_WARMUP = 3
 
 
 @dataclass(frozen=True)
@@ -114,8 +123,13 @@ def units_from_scenarios(scenarios) -> list[EvalUnit]:
 
 
 def units_from_blind(blind_traces, answers: dict) -> list[EvalUnit]:
-    """Join blind traces to the answer key by anonymized id."""
-    units = []
+    """Join blind traces to the answer key by anonymized id.
+
+    Each entry passes the checks of an annotated scenario's ground truth
+    against its trace; keys beyond the ground truth's, such as
+    ``original_id``, are ignored.
+    """
+    scenarios = []
     for trace in blind_traces:
         answer = answers.get(trace.scenario_id)
         if answer is None:
@@ -123,25 +137,12 @@ def units_from_blind(blind_traces, answers: dict) -> list[EvalUnit]:
                 f"no answer key entry for blind id {trace.scenario_id!r}"
             )
         try:
-            root = int(answer["root_cause_node_id"])
-            error_node = int(answer["error_node_id"])
-            bug_type = str(answer["bug_type"])
-        except KeyError as exc:
-            raise SchemaViolation(
-                f"answer key entry {trace.scenario_id!r}: missing key {exc}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise SchemaViolation(f"answer key entry {trace.scenario_id!r}: {exc}") from None
-        units.append(
-            EvalUnit(
-                trace=trace,
-                root_cause=root,
-                error_node=error_node,
-                bug_type=bug_type,
-                bucket=_bucket_of(root),
-            )
-        )
-    return units
+            if not isinstance(answer, dict):
+                raise SchemaViolation(f"expected object, got {type(answer).__name__}")
+            scenarios.append(Scenario(trace, parse_ground_truth(answer)))
+        except TracefaultError as exc:
+            raise type(exc)(f"answer key entry {trace.scenario_id!r}: {exc}") from None
+    return units_from_scenarios(scenarios)
 
 
 def _accuracy(ranks) -> dict:
@@ -215,7 +216,7 @@ def evaluate(
             if llm_adapter is None:
                 raise MissingAnswers("llm method requested without an adapter")
             for u in units:
-                ordering, fell_back = llm_baseline(u.trace, llm_adapter, strict=False)
+                ordering, fell_back = llm_baseline(u.trace, llm_adapter)
                 ranks.append(ordering.index(u.root_cause) + 1)
                 llm_fallbacks += fell_back
                 if ordering[0] != u.root_cause:
@@ -306,9 +307,9 @@ def evaluate(
     return result
 
 
-def sweep_over_units(units, tables, position_values=SWEEP_POSITION_VALUES):
+def sweep_over_units(units, tables):
     """Hit@1 per position weight, scored from the units' feature tables."""
-    return sweep_rows(tables, [u.root_cause for u in units], position_values)
+    return sweep_rows(tables, [u.root_cause for u in units])
 
 
 GROUP_LETTERS = dict(zip(GROUP_ORDER, "PSCFE"))
@@ -325,16 +326,15 @@ def ablation_table(units, tables) -> dict:
     }
 
 
-def run_checks(result: dict, thresholds: dict | None = None) -> list[str]:
-    """Return failed acceptance checks (empty list means all passed)."""
-    thresholds = {**CHECK_THRESHOLDS, **(thresholds or {})}
+def run_checks(result: dict) -> list[str]:
+    """Return failed ``CHECK_THRESHOLDS`` checks (empty list means all passed)."""
     failures: list[str] = []
     main = result["methods"].get(MAIN_METHOD)
     if main is None:
         return ["main method missing from evaluation"]
     for key in ("hit_at_1", "hit_at_3", "mrr"):
-        if main[key] < thresholds[key]:
-            failures.append(f"{key}: {main[key]:.4f} < {thresholds[key]}")
+        if main[key] < CHECK_THRESHOLDS[key]:
+            failures.append(f"{key}: {main[key]:.4f} < {CHECK_THRESHOLDS[key]}")
     ordering = ["last", "random", "first"]
     chain = [MAIN_METHOD] + [m for m in ordering if m in result["methods"]]
     for better, worse in zip(chain, chain[1:]):
@@ -348,39 +348,34 @@ def run_checks(result: dict, thresholds: dict | None = None) -> list[str]:
             failures.append("ordering: main method not above llm baseline")
     for pair, sig in result.get("significance", {}).items():
         if any(h in pair for h in HEURISTIC_METHODS):
-            if sig["p_value"] >= thresholds["mcnemar_p_max"]:
+            if sig["p_value"] >= CHECK_THRESHOLDS["mcnemar_p_max"]:
                 failures.append(
                     f"mcnemar {pair}: p={sig['p_display']} not below "
-                    f"{thresholds['mcnemar_p_max']}"
+                    f"{CHECK_THRESHOLDS['mcnemar_p_max']}"
                 )
     return failures
 
 
-def runtime_bench(
-    sizes=(5, 10, 15, 20, 25),
-    reps: int = 30,
-    warmup: int = 3,
-    weights: WeightVector | None = None,
-    config: FeatureConfig | None = None,
-) -> dict:
+def runtime_bench(sizes=(5, 10, 15, 20, 25), reps: int = 30) -> dict:
     """Wall-clock scaling of the analysis pipeline with trace length.
 
+    Each size ranks one ``make_bench_trace`` under the default weights and
+    feature config: ``BENCH_WARMUP`` untimed runs, then ``reps`` timed ones.
     Times exclude JSON parsing: traces are pre-built, the clock covers
     graph construction through ranking. Single-threaded by design.
     """
     from .benchgen import make_bench_trace
 
-    weights = weights or WeightVector()
-    config = config or FeatureConfig()
+    weights, config = WeightVector(), FeatureConfig()
     rows = []
     for n in sizes:
         trace = make_bench_trace(n)
-        for _ in range(warmup):
-            rank(trace, weights=weights, config=config)
+        for _ in range(BENCH_WARMUP):
+            rank(trace, weights, config)
         samples = []
         for _ in range(reps):
             start = time.perf_counter()
-            rank(trace, weights=weights, config=config)
+            rank(trace, weights, config)
             samples.append((time.perf_counter() - start) * 1e3)
         samples.sort()
         mean_ms = sum(samples) / len(samples)

@@ -141,6 +141,14 @@ KEYWORD_FIELDS = ("error_keywords", "uncertainty_keywords", "hedge_words")
 _WORD_RE = re.compile(r"[a-z0-9_]+")
 
 
+def unit_weight(what: str, value) -> float:
+    """``value`` as a float, which must be a number in [0, 1]; JSON ``true``
+    is an int to ``isinstance`` but no weight, and NaN fails the range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ValueError(f"{what} must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
 def default_role_weights() -> dict[str, float]:
     weights: dict[str, float] = {}
     for weight, names in ROLE_CLASS_WEIGHTS:
@@ -166,8 +174,8 @@ class FeatureConfig:
             if not isinstance(keywords, tuple) or not all(isinstance(k, str) for k in keywords):
                 raise ValueError(f"{name} must be a list of strings")
         for name, weight in self.role_weights.items():
-            if not 0.0 <= weight <= 1.0:
-                raise ValueError(f"role weight for {name!r} must lie in [0, 1]")
+            unit_weight(f"role weight for {name!r}", weight)
+        unit_weight("default_role_weight", self.default_role_weight)
         missing = set(ALL_FEATURES) - set(self.orientation)
         if missing:
             raise ValueError(f"orientation missing for features: {sorted(missing)}")
@@ -205,7 +213,10 @@ class FeatureConfig:
         orientation.update(obj.get("orientation", {}))
         role_weights = default_role_weights()
         role_weights.update(
-            {k.lower(): float(v) for k, v in obj.get("role_weights", {}).items()}
+            {
+                k.lower(): unit_weight(f"role weight for {k!r}", v)
+                for k, v in obj.get("role_weights", {}).items()
+            }
         )
         # A JSON list becomes a tuple; anything else reaches the field check.
         keywords = {
@@ -216,7 +227,9 @@ class FeatureConfig:
         return FeatureConfig(
             **keywords,
             role_weights=role_weights,
-            default_role_weight=float(obj.get("default_role_weight", DEFAULT_ROLE_WEIGHT)),
+            default_role_weight=unit_weight(
+                "default_role_weight", obj.get("default_role_weight", DEFAULT_ROLE_WEIGHT)
+            ),
             orientation=orientation,
         )
 

@@ -71,22 +71,6 @@ class CausalGraph:
                 succs[u] |= bit
         return CausalGraph(nodes, parents, preds, succs)
 
-    @staticmethod
-    def from_edges(nodes: list[int], edges: Iterable[tuple[int, int, str]]) -> "CausalGraph":
-        """Build the graph from ``(src, dst, kind)`` tuples over non-negative ids.
-
-        An endpoint that is not a node raises ``NodeNotFound``. Edges with
-        ``src >= dst`` break chronology and are dropped, which keeps the
-        graph acyclic; duplicates of a kind and pair collapse to one bit.
-        """
-        parents = tuple(dict.fromkeys(nodes, 0) for _ in EDGE_KINDS)
-        for src, dst, kind in edges:
-            if src not in parents[0] or dst not in parents[0]:
-                raise NodeNotFound(f"edge {src}->{dst}: endpoint not a node")
-            if src < dst:
-                parents[EDGE_KINDS.index(kind)][dst] |= 1 << src
-        return CausalGraph.from_parents(nodes, parents)
-
     @property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
         """``(src, dst, kind)`` tuples ordered by ``(src, dst, EDGE_KINDS order)``."""
@@ -199,7 +183,7 @@ class CandidateSet:
     depth_of: dict[int, int] = field(compare=False)
 
 
-def backtrace(graph: CausalGraph, error_node: int, max_depth: int = 10) -> CandidateSet:
+def backtrace(graph: CausalGraph, error_node: int, max_depth: int) -> CandidateSet:
     """Collect ancestors of ``error_node`` within ``max_depth`` BFS layers.
 
     Layered breadth-first traversal over reverse edges: the candidate set
@@ -272,8 +256,9 @@ def longest_path_depth(graph: CausalGraph) -> dict[int, int]:
     return _ancestor_sweep(graph)[1]
 
 
-def betweenness(graph: CausalGraph, nodes: Iterable[int] | None = None) -> dict[int, float]:
-    """Directed betweenness of ``nodes`` (default: every node).
+def betweenness(graph: CausalGraph, nodes: Iterable[int]) -> dict[int, float]:
+    """Directed betweenness of each of ``nodes``; ``features`` asks for the
+    backtraced candidates, and ``graph.nodes`` gives every node's value.
 
     The value of ``v`` is the sum, over ordered pairs ``s -> t`` of other
     nodes, of the share of shortest ``s -> t`` paths that pass through
@@ -286,7 +271,7 @@ def betweenness(graph: CausalGraph, nodes: Iterable[int] | None = None) -> dict[
     ``v``, so the targets are the nodes reachable from ``nodes``. A target
     whose ancestors are all direct predecessors is skipped (module docstring).
     """
-    wanted = graph.nodes if nodes is None else sorted(nodes)
+    wanted = sorted(nodes)
     for v in wanted:
         if v not in graph:
             raise NodeNotFound(f"node {v} not in graph")

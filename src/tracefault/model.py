@@ -268,13 +268,19 @@ def parse_scenario(data: bytes | str | dict) -> Scenario:
     trace = _parse_trace_obj(obj, "scenario")
     gt_obj = _require(obj, "ground_truth", dict, "scenario")
     _reject_extras(gt_obj, _GT_REQUIRED, "ground_truth")
-    gt = GroundTruth(
-        error_node_id=_require(gt_obj, "error_node_id", int, "ground_truth"),
-        root_cause_node_id=_require(gt_obj, "root_cause_node_id", int, "ground_truth"),
-        bug_type=_require(gt_obj, "bug_type", str, "ground_truth"),
-        bug_description=_require(gt_obj, "bug_description", str, "ground_truth"),
+    return Scenario(trace=trace, ground_truth=parse_ground_truth(gt_obj))
+
+
+def parse_ground_truth(obj: dict) -> GroundTruth:
+    """The ground truth of a scenario or of an answer-key entry: integer
+    (not boolean) ids and string texts, then ``GroundTruth``'s own checks.
+    Resolving the ids against the trace is ``Scenario``'s check."""
+    return GroundTruth(
+        error_node_id=_require(obj, "error_node_id", int, "ground_truth"),
+        root_cause_node_id=_require(obj, "root_cause_node_id", int, "ground_truth"),
+        bug_type=_require(obj, "bug_type", str, "ground_truth"),
+        bug_description=_require(obj, "bug_description", str, "ground_truth"),
     )
-    return Scenario(trace=trace, ground_truth=gt)
 
 
 def parse_trace_blind(data: bytes | str | dict) -> ExecutionTrace:

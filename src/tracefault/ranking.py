@@ -25,7 +25,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 
-from .features import FEATURE_GROUPS, FeatureConfig, compute_features
+from .features import FEATURE_GROUPS, FeatureConfig, compute_features, unit_weight
 from .graph import CausalGraph, backtrace, build_graph
 from .model import ExecutionTrace
 
@@ -36,7 +36,7 @@ GROUP_ORDER = tuple(FEATURE_GROUPS)
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Non-negative group weights summing to one."""
+    """Group weights in [0, 1] summing to one."""
 
     position: float = 0.70
     structure: float = 0.20
@@ -45,11 +45,9 @@ class WeightVector:
     confidence: float = 0.02
 
     def __post_init__(self) -> None:
-        values = self.as_dict()
-        for name, value in values.items():
-            if value < 0:
-                raise ValueError(f"weight {name} must be >= 0, got {value}")
-        total = sum(values.values())
+        for name, value in self.as_dict().items():
+            unit_weight(f"weight {name}", value)
+        total = sum(self.as_tuple())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
 
@@ -61,16 +59,13 @@ class WeightVector:
 
     @staticmethod
     def from_dict(obj: dict[str, float]) -> "WeightVector":
-        return WeightVector(**{k: float(obj[k]) for k in GROUP_ORDER})
+        return WeightVector(**{k: unit_weight(f"weight {k}", obj[k]) for k in GROUP_ORDER})
 
     @staticmethod
-    def restricted(groups, base: "WeightVector | None" = None) -> "WeightVector":
-        """Keep only ``groups``, renormalizing their base weights to sum 1."""
-        base = base or WeightVector()
-        kept = {g: base.as_dict()[g] for g in groups}
+    def restricted(groups) -> "WeightVector":
+        """Keep only ``groups``, renormalizing their default weights to sum 1."""
+        kept = {g: WeightVector().as_dict()[g] for g in groups}
         total = sum(kept.values())
-        if total <= 0:
-            raise ValueError("restricted weight set has zero mass")
         return WeightVector(**{g: (kept[g] / total if g in kept else 0.0) for g in GROUP_ORDER})
 
     @staticmethod

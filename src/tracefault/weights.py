@@ -1,18 +1,18 @@
 """Grid search over group weights and the position-weight sensitivity sweep.
 
-The grid is the cartesian product of per-group candidate values filtered to
-combinations summing to one; each feasible point is evaluated by Hit@1 on a
-validation set, scored from one ``FeatureTable`` per scenario (anchored at
-its annotated error node). Ties break toward the larger position weight,
-then lexicographically, so repeated searches return the same vector.
+The grid is ``DEFAULT_GRID``: the cartesian product of its per-group values
+(576 combinations), of which the 14 that sum to one are feasible. Each
+feasible point is evaluated by Hit@1 on a validation set, scored from one
+``FeatureTable`` per scenario (anchored at its annotated error node). Ties
+break toward the larger position weight, then lexicographically, so
+repeated searches return the same vector.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import EmptyBenchmark, EmptyGrid
+from .errors import EmptyBenchmark
 from .features import FeatureConfig
 from .ranking import DEFAULT_MAX_DEPTH, FeatureTable, WeightVector, feature_table
 
@@ -30,23 +30,13 @@ SWEEP_POSITION_VALUES = (0.5, 0.6, 0.7, 0.8, 0.9)
 _SUM_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    position: tuple[float, ...] = DEFAULT_GRID["position"]
-    structure: tuple[float, ...] = DEFAULT_GRID["structure"]
-    content: tuple[float, ...] = DEFAULT_GRID["content"]
-    flow: tuple[float, ...] = DEFAULT_GRID["flow"]
-    confidence: tuple[float, ...] = DEFAULT_GRID["confidence"]
-
-    def feasible_points(self) -> list[WeightVector]:
-        """All grid combinations whose weights sum to one, in grid order."""
-        points = []
-        for combo in itertools.product(
-            self.position, self.structure, self.content, self.flow, self.confidence
-        ):
-            if abs(sum(combo) - 1.0) <= _SUM_TOLERANCE:
-                points.append(WeightVector(*combo))
-        return points
+def feasible_points() -> list[WeightVector]:
+    """The ``DEFAULT_GRID`` combinations whose weights sum to one, in grid order."""
+    return [
+        WeightVector(*combo)
+        for combo in itertools.product(*DEFAULT_GRID.values())
+        if abs(sum(combo) - 1.0) <= _SUM_TOLERANCE
+    ]
 
 
 def hit_at_1_by_weights(tables: list[FeatureTable], roots, points) -> list[float]:
@@ -57,15 +47,15 @@ def hit_at_1_by_weights(tables: list[FeatureTable], roots, points) -> list[float
     return [sum(t.top(w) == root for t, root in pairs) / len(tables) for w in points]
 
 
-def sweep_rows(tables, roots, position_values=SWEEP_POSITION_VALUES):
-    """(w_position, Hit@1) rows; see ``WeightVector.with_position``."""
-    points = [WeightVector.with_position(w) for w in position_values]
-    return list(zip(position_values, hit_at_1_by_weights(tables, roots, points)))
+def sweep_rows(tables, roots):
+    """(w_position, Hit@1) rows over ``SWEEP_POSITION_VALUES``; see
+    ``WeightVector.with_position``."""
+    points = [WeightVector.with_position(w) for w in SWEEP_POSITION_VALUES]
+    return list(zip(SWEEP_POSITION_VALUES, hit_at_1_by_weights(tables, roots, points)))
 
 
 def grid_search(
     validation,
-    grid: GridSpec | None = None,
     config: FeatureConfig | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> tuple[WeightVector, list[tuple[WeightVector, float]]]:
@@ -73,10 +63,7 @@ def grid_search(
     validation = list(validation)
     if not validation:
         raise EmptyBenchmark("grid search requires a non-empty validation set")
-    grid = grid or GridSpec()
-    points = grid.feasible_points()
-    if not points:
-        raise EmptyGrid("no weight combination satisfies the sum-to-one constraint")
+    points = feasible_points()
     tables = [
         feature_table(s.trace, config, max_depth, error_node=s.ground_truth.error_node_id)
         for s in validation

@@ -3,6 +3,7 @@ plus the subcommands' outputs and the modules they load."""
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -161,6 +162,30 @@ def test_analyze_truncated_input_json_exits_3_naming_the_file(
 
 
 @pytest.mark.parametrize(
+    "value, message",
+    [
+        (math.nan, "weight position must be a number in [0, 1], got nan"),
+        (math.inf, "weight position must be a number in [0, 1], got inf"),
+        (-0.1, "weight position must be a number in [0, 1], got -0.1"),
+        (True, "weight position must be a number in [0, 1], got True"),
+        ("0.7", "weight position must be a number in [0, 1], got '0.7'"),
+    ],
+    ids=["nan", "infinite", "negative", "boolean", "string"],
+)
+def test_analyze_invalid_weight_exits_3_naming_the_file(
+    tmp_path, example1_path, capsys, value, message
+):
+    weights = tmp_path / "weights.json"
+    rest = {"structure": 0.2, "content": 0.05, "flow": 0.03, "confidence": 0.02}
+    weights.write_text(json.dumps({"position": value, **rest}))
+    assert main(["analyze", str(example1_path), "--weights", str(weights)]) == 3
+    err = capsys.readouterr().err
+    assert str(weights) in err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "config, message",
     [
         ({"orientation": {"betweeness": -1}}, "orientation for unknown features: ['betweeness']"),
@@ -168,8 +193,24 @@ def test_analyze_truncated_input_json_exits_3_naming_the_file(
         ({"orientation": {"hedging_score": True}}, "orientation for 'hedging_score' must be +1 or -1"),
         ({"error_keyword": ["x"]}, "unknown keys: ['error_keyword']"),
         ({"error_keywords": "error"}, "error_keywords must be a list of strings"),
+        ({"default_role_weight": 7.5}, "default_role_weight must be a number in [0, 1], got 7.5"),
+        ({"default_role_weight": True}, "default_role_weight must be a number in [0, 1], got True"),
+        ({"default_role_weight": math.nan}, "default_role_weight must be a number in [0, 1]"),
+        ({"role_weights": {"Planner": True}}, "role weight for 'Planner' must be a number in"),
+        ({"role_weights": {"coder": math.nan}}, "role weight for 'coder' must be a number in"),
     ],
-    ids=["misspelled-feature", "fractional-sign", "boolean-sign", "unknown-key", "string-keywords"],
+    ids=[
+        "misspelled-feature",
+        "fractional-sign",
+        "boolean-sign",
+        "unknown-key",
+        "string-keywords",
+        "default-role-weight-above-one",
+        "boolean-default-role-weight",
+        "nan-default-role-weight",
+        "boolean-role-weight",
+        "nan-role-weight",
+    ],
 )
 def test_analyze_invalid_feature_config_exits_3_naming_the_file(
     tmp_path, example1_path, capsys, config, message
@@ -206,6 +247,59 @@ def test_evaluate_blind_answer_without_bug_type_exits_3(tmp_path, example1_bytes
     err = capsys.readouterr().err
     assert str(answers_path) in err
     assert "bug_type" in err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"root_cause_node_id": 99}, "root_cause_node_id (99) must not exceed error_node_id"),
+        ({"root_cause_node_id": 99, "error_node_id": 99}, "error_node_id: 99 does not resolve"),
+        ({"root_cause_node_id": 0}, "root_cause_node_id: 0 does not resolve"),
+        ({"root_cause_node_id": "3"}, "root_cause_node_id: expected <class 'int'>, got str"),
+        ({"root_cause_node_id": 3.7}, "root_cause_node_id: expected <class 'int'>, got float"),
+        ({"error_node_id": True}, "error_node_id: expected <class 'int'>, got bool"),
+        ({"bug_type": "typo"}, "bug_type: unknown value 'typo'"),
+        (None, "expected object, got list"),
+    ],
+    ids=[
+        "root-after-error",
+        "error-outside-trace",
+        "root-zero",
+        "string-id",
+        "fractional-id",
+        "boolean-id",
+        "unknown-bug-type",
+        "non-object",
+    ],
+)
+def test_evaluate_blind_bad_answer_exits_3_naming_the_file_and_id(
+    tmp_path, capsys, entry, message
+):
+    from tracefault.benchgen import generate_benchmark
+    from tracefault.model import serialize_scenario
+
+    (tmp_path / "scenarios").mkdir()
+    for generated in generate_benchmark(seed=1, counts={"devops_automation": 3}):
+        scenario = generated.scenario
+        path = tmp_path / "scenarios" / f"{scenario.trace.scenario_id}.json"
+        path.write_bytes(serialize_scenario(scenario))
+    assert main(["blind", str(tmp_path)]) == 0
+    answers_path = tmp_path / "answers.json"
+    answers = json.loads(answers_path.read_text())
+    blind_id = sorted(answers)[1]
+    if entry is None:
+        answers[blind_id] = []
+    else:
+        answers[blind_id].update(entry)
+    answers_path.write_text(json.dumps(answers))
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert main(["evaluate", str(tmp_path), "--blind", "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert str(answers_path) in err
+    assert f"answer key entry {blind_id!r}" in err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_analyze_dump_graph_builds_the_graph_once(monkeypatch, example1_path, tmp_path):

@@ -20,7 +20,7 @@ from tracefault.evaluation import (
 from tracefault.features import FeatureConfig, compute_features
 from tracefault.graph import backtrace, build_graph
 from tracefault.model import DOMAINS
-from tracefault.ranking import WeightVector, feature_table, rank
+from tracefault.ranking import DEFAULT_MAX_DEPTH, WeightVector, feature_table, rank
 from tracefault.stats import hit_at_k
 from tracefault.weights import SWEEP_POSITION_VALUES, grid_search
 
@@ -65,7 +65,7 @@ def test_table_scores_equal_fresh_rank_for_every_weight_vector(sample):
     for unit in sample:
         table = feature_table(unit.trace)
         graph = build_graph(unit.trace)
-        candidates = backtrace(graph, len(unit.trace))
+        candidates = backtrace(graph, len(unit.trace), DEFAULT_MAX_DEPTH)
         columns = compute_features(unit.trace, graph, candidates)
         steps = sorted(candidates.members)
         kept = rank(unit.trace).table
@@ -139,7 +139,7 @@ def test_config_fingerprint_once_per_evaluation_and_never_in_grid_search(sample,
 def test_baseline_agreeing_everywhere_is_reported_not_raised(units):
     def agrees(unit):
         main = rank(unit.trace).rank_of(unit.root_cause) == 1
-        last = last_node_baseline(unit.trace, len(unit.trace))[0] == unit.root_cause
+        last = last_node_baseline(unit.trace)[0] == unit.root_cause
         return main == last
 
     agreeing = list(itertools.islice(filter(agrees, units), 5))

@@ -17,6 +17,7 @@ from tracefault.features import (
 )
 from tracefault.graph import backtrace, build_graph
 from tracefault.model import ExecutionTrace, Step
+from tracefault.ranking import DEFAULT_MAX_DEPTH
 
 # Earliness-only position variant: every position feature rewards being
 # early, and wide downstream influence counts as suspicious. On
@@ -87,7 +88,7 @@ def raw_by_step(trace, anchor, config=None):
     """``extract_raw`` over the backtrace from ``anchor``, as
     ``{feature: {step_id: value}}``."""
     graph = build_graph(trace)
-    candidates = backtrace(graph, anchor)
+    candidates = backtrace(graph, anchor, DEFAULT_MAX_DEPTH)
     columns = extract_raw(trace, graph, candidates, config or FeatureConfig())
     steps = sorted(candidates.members)
     return {name: dict(zip(steps, column)) for name, column in columns.items()}
@@ -95,7 +96,7 @@ def raw_by_step(trace, anchor, config=None):
 
 def test_raw_columns_follow_all_features_and_step_order(chain5):
     trace, graph = chain5
-    columns = extract_raw(trace, graph, backtrace(graph, 5), FeatureConfig())
+    columns = extract_raw(trace, graph, backtrace(graph, 5, DEFAULT_MAX_DEPTH), FeatureConfig())
     assert tuple(columns) == ALL_FEATURES
     assert all(len(column) == 5 for column in columns.values())
     assert columns["normalized_position"] == [0.2, 0.4, 0.6, 0.8, 1.0]
@@ -123,7 +124,7 @@ def test_distance_to_error_is_the_backtrace_layer():
     steps[4] = replace(steps[4], consumes=("art_4", "art_2"))
     trace = replace(trace, steps=tuple(steps))
     graph = build_graph(trace)
-    candidates = backtrace(graph, 5)
+    candidates = backtrace(graph, 5, DEFAULT_MAX_DEPTH)
     assert candidates.depth_of == {5: 0, 4: 1, 2: 1, 3: 2, 1: 2}
     raw = raw_by_step(trace, 5)
     assert raw["distance_to_error"] == {1: 1.0, 2: 0.5, 3: 1.0, 4: 0.5, 5: 0.0}
@@ -221,7 +222,10 @@ def test_complementarity_after_normalization(chain5):
     # min-max scaled, independent of orientation config
     trace, graph = chain5
     raw = extract_raw(
-        trace, graph, backtrace(graph, 5), config_with_orientation(ORIENTATION_LITERAL)
+        trace,
+        graph,
+        backtrace(graph, 5, DEFAULT_MAX_DEPTH),
+        config_with_orientation(ORIENTATION_LITERAL),
     )
     forward = normalize(raw["normalized_position"])
     reverse = normalize(raw["reverse_position"])
@@ -234,7 +238,10 @@ def test_chain_position_group_under_early_dominant(chain5):
     # node strictly dominates later ones.
     trace, graph = chain5
     position, *_ = compute_features(
-        trace, graph, backtrace(graph, 5), config_with_orientation(ORIENTATION_EARLY_DOMINANT)
+        trace,
+        graph,
+        backtrace(graph, 5, DEFAULT_MAX_DEPTH),
+        config_with_orientation(ORIENTATION_EARLY_DOMINANT),
     )
     assert position[0] > position[3]
 
@@ -243,13 +250,14 @@ def test_chain_position_group_under_default_is_flat(chain5):
     # The default early-and-close mix cancels exactly on a bare chain: the
     # earliness ramp and the closeness ramp are mirror images there.
     trace, graph = chain5
-    position, *_ = compute_features(trace, graph, backtrace(graph, 5), FeatureConfig())
+    candidates = backtrace(graph, 5, DEFAULT_MAX_DEPTH)
+    position, *_ = compute_features(trace, graph, candidates, FeatureConfig())
     assert all(v == pytest.approx(0.5, abs=1e-6) for v in position)
 
 
 def test_bounds_all_in_unit_interval(chain5):
     trace, graph = chain5
-    candidates = backtrace(graph, 5)
+    candidates = backtrace(graph, 5, DEFAULT_MAX_DEPTH)
     raw = extract_raw(trace, graph, candidates, FeatureConfig())
     normalized = [normalize(column) for column in raw.values()]
     features = compute_features(trace, graph, candidates, FeatureConfig())
@@ -261,8 +269,8 @@ def test_bounds_all_in_unit_interval(chain5):
 
 def test_determinism_bit_for_bit(chain5):
     trace, graph = chain5
-    one = compute_features(trace, graph, backtrace(graph, 5), FeatureConfig())
-    two = compute_features(trace, graph, backtrace(graph, 5), FeatureConfig())
+    one = compute_features(trace, graph, backtrace(graph, 5, DEFAULT_MAX_DEPTH), FeatureConfig())
+    two = compute_features(trace, graph, backtrace(graph, 5, DEFAULT_MAX_DEPTH), FeatureConfig())
     assert one == two
 
 
@@ -277,6 +285,7 @@ def test_config_round_trip_and_fingerprint():
     config = FeatureConfig()
     again = FeatureConfig.from_obj(config.to_obj())
     assert again.fingerprint() == config.fingerprint()
+    assert FeatureConfig().fingerprint() == "3bbce0510ef0f4a3"
     flipped = config_with_orientation(ORIENTATION_LITERAL)
     assert flipped.fingerprint() != config.fingerprint()
 

@@ -53,8 +53,8 @@ def test_bootstrap_of_zero_rows_is_empty():
     assert bootstrap_ci([]) == []
 
 
-def oracle_bootstrap(values, b, confidence, seed):
-    """Independent brute-force percentile bootstrap on the same seed stream."""
+def oracle_bootstrap(values, b, seed):
+    """Independent brute-force percentile bootstrap (95%) on the same seed stream."""
     rng = np.random.default_rng(seed)
     n = len(values)
     means = []
@@ -70,7 +70,7 @@ def oracle_bootstrap(values, b, confidence, seed):
         frac = pos - lo
         return means[lo] + (means[hi] - means[lo]) * frac
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.95
     return pick(alpha / 2.0), pick(1.0 - alpha / 2.0)
 
 
@@ -78,8 +78,8 @@ def oracle_bootstrap(values, b, confidence, seed):
     "values", [[1, 1, 0, 1], [0, 1], [1, 0, 0, 0, 1, 1, 1, 0, 1, 0], [0.25, 0.5, 1.0]]
 )
 def test_bootstrap_matches_independent_resampler_exactly(values):
-    ours = bootstrap_ci([values], b=10_000, confidence=0.95, seed=12345)
-    theirs = oracle_bootstrap(values, b=10_000, confidence=0.95, seed=12345)
+    ours = bootstrap_ci([values], b=10_000, seed=12345)
+    theirs = oracle_bootstrap(values, b=10_000, seed=12345)
     assert ours == [theirs]  # exact float equality: shared seed stream contract
 
 
@@ -100,8 +100,8 @@ SHARED_ROWS = {
 @pytest.mark.parametrize("n", sorted(SHARED_ROWS))
 def test_every_row_of_one_call_matches_the_resampler_alone(n, b):
     rows = SHARED_ROWS[n]
-    ours = bootstrap_ci(rows, b=b, confidence=0.9, seed=2024)
-    assert ours == [oracle_bootstrap(row, b=b, confidence=0.9, seed=2024) for row in rows]
+    ours = bootstrap_ci(rows, b=b, seed=2024)
+    assert ours == [oracle_bootstrap(row, b=b, seed=2024) for row in rows]
 
 
 def test_rows_of_one_call_equal_their_single_row_calls():
@@ -121,9 +121,6 @@ def test_bootstrap_rejects_ragged_rows_and_bad_parameters():
         bootstrap_ci([[1, 0], [1]])
     with pytest.raises(ValueError, match="iterations"):
         bootstrap_ci([[1, 0]], b=0)
-    for confidence in (0.0, 1.0, -0.5, 1.5, math.nan):
-        with pytest.raises(ValueError, match="confidence"):
-            bootstrap_ci([[1, 0]], b=10, confidence=confidence)
 
 
 def test_bootstrap_interval_width_near_reference():

@@ -5,14 +5,14 @@ import itertools
 import pytest
 
 from tracefault.benchgen import generate_benchmark
-from tracefault.errors import EmptyBenchmark, EmptyGrid
+from tracefault.errors import EmptyBenchmark
 from tracefault.evaluation import evaluate
 from tracefault.model import DOMAINS
 from tracefault.ranking import WeightVector, feature_table
 from tracefault.weights import (
     DEFAULT_GRID,
-    GridSpec,
     SWEEP_POSITION_VALUES,
+    feasible_points,
     grid_search,
     sweep_rows,
     weights_report,
@@ -34,13 +34,13 @@ def brute_force_feasible_count() -> int:
 
 
 def test_grid_enumeration_matches_brute_force():
-    points = GridSpec().feasible_points()
+    points = feasible_points()
     assert len(points) == brute_force_feasible_count()
     assert len(points) == 14  # of 4*4*4*3*3 = 576 raw combinations
 
 
 def test_default_weights_are_a_feasible_grid_point():
-    points = GridSpec().feasible_points()
+    points = feasible_points()
     target = (0.70, 0.20, 0.05, 0.03, 0.02)
     assert any(p.as_tuple() == pytest.approx(target) for p in points)
 
@@ -53,16 +53,6 @@ def test_grid_search_evaluates_every_feasible_point(validation):
     assert any(w is best for w, _ in table) or any(
         w.as_tuple() == best.as_tuple() for w, hit in table if hit == best_hit
     )
-
-
-def test_grid_search_singleton():
-    spec = GridSpec(
-        position=(0.7,), structure=(0.2,), content=(0.05,), flow=(0.03,), confidence=(0.02,)
-    )
-    scenarios = [g.scenario for g in generate_benchmark(seed=1, counts={"devops_automation": 3})]
-    best, table = grid_search(scenarios, grid=spec)
-    assert len(table) == 1
-    assert best.as_tuple() == pytest.approx((0.7, 0.2, 0.05, 0.03, 0.02))
 
 
 def test_grid_search_tie_breaks_toward_position(validation):
@@ -78,12 +68,6 @@ def test_grid_search_deterministic(validation):
     assert one.as_tuple() == two.as_tuple()
 
 
-def test_empty_grid_raises(validation):
-    spec = GridSpec(position=(0.9,), structure=(0.2,), content=(0.05,), flow=(0.03,), confidence=(0.02,))
-    with pytest.raises(EmptyGrid):
-        grid_search(validation, grid=spec)
-
-
 def test_empty_validation_raises():
     with pytest.raises(EmptyBenchmark):
         grid_search([])
@@ -91,15 +75,15 @@ def test_empty_validation_raises():
         evaluate([], methods=("tracefault",), with_sweep=True)
 
 
-def annotated_sweep(scenarios, position_values=SWEEP_POSITION_VALUES):
+def annotated_sweep(scenarios):
     """``sweep_rows`` over tables anchored at each annotated error node."""
     tables = [feature_table(s.trace, error_node=s.ground_truth.error_node_id) for s in scenarios]
     roots = [s.ground_truth.root_cause_node_id for s in scenarios]
-    return sweep_rows(tables, roots, position_values)
+    return sweep_rows(tables, roots)
 
 
 def test_sweep_default_point_matches_default_weights(validation):
-    rows = annotated_sweep(validation, position_values=(0.7,))
+    rows = [row for row in annotated_sweep(validation) if row[0] == 0.7]
     from tracefault.ranking import rank
     from tracefault.stats import hit_at_k
 
