@@ -14,14 +14,17 @@ Three edge kinds are derived from a trace:
 All edges satisfy ``src < dst`` (chronological order), so every graph is
 acyclic and step ids are a topological order. The graph is bitsets only:
 bit ``u`` of ``parents[k][v]`` is an ``EDGE_KINDS[k]`` edge ``u -> v``, and
-``preds``/``succs`` are the unions over kinds. Degrees are popcounts,
-traversals OR frontier masks, and ``edges`` tuples are derived on access.
+``preds``/``succs`` are the unions over kinds. ``build_graph`` sets each
+edge's successor bit in the same pass that sets its parent bit, so no
+transpose follows. Degrees are popcounts, traversals OR frontier masks, and
+``edges`` tuples are derived on access.
 
-Betweenness is Brandes' algorithm over predecessor bits in ascending order,
-as over sorted adjacency lists, so its float sums are unchanged. It skips a
-target whose ancestors are all direct predecessors: that reverse BFS has one
-layer, so every ``delta`` stays ``0.0`` and ``x + 0.0 == x`` keeps each
-score bit-identical. On dense text-scanned traces every target is skipped.
+Betweenness is Brandes' algorithm over lists indexed by step id, with each
+node's predecessors expanded in ascending order, as over sorted adjacency
+lists, so its float sums are unchanged. It skips a target whose ancestors
+are all direct predecessors: that reverse BFS has one layer, so every
+``delta`` stays ``0.0`` and ``x + 0.0 == x`` keeps each score bit-identical.
+On dense text-scanned traces every target is skipped.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import NodeNotFound
 from .model import ExecutionTrace
@@ -58,18 +62,23 @@ class CausalGraph:
     preds: dict[int, int] = field(repr=False, compare=False)
     succs: dict[int, int] = field(repr=False, compare=False)
 
-    @staticmethod
-    def from_parents(nodes: Iterable[int], parents: tuple[dict[int, int], ...]) -> "CausalGraph":
-        """Build the graph from per-kind parent masks keyed by every node."""
-        nodes = tuple(sorted(nodes))
-        sequential, communication, data = parents
-        preds = {v: sequential[v] | communication[v] | data[v] for v in nodes}
-        succs = dict.fromkeys(nodes, 0)
-        for v in nodes:
-            bit = 1 << v
-            for u in _bits(preds[v]):
-                succs[u] |= bit
-        return CausalGraph(nodes, parents, preds, succs)
+    @cached_property
+    def ancestry(self) -> tuple[dict[int, int], dict[int, int]]:
+        """Ancestor mask (``v`` included) and longest-path depth of every
+        node, swept once per graph and shared by ``longest_path_depth`` and
+        ``betweenness``; callers must not mutate them. A predecessor inside
+        the mask of a higher one is its ancestor: skipped."""
+        closed: dict[int, int] = {}
+        depth: dict[int, int] = {}
+        for v in self.nodes:
+            mask, rest, d = 1 << v, self.preds[v], 0
+            while rest:
+                u = rest.bit_length() - 1
+                mask |= closed[u]
+                d = max(d, depth[u] + 1)
+                rest &= ~mask
+            closed[v], depth[v] = mask, d
+        return closed, depth
 
     @property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
@@ -130,24 +139,33 @@ def _artifact_names(declared: tuple[str, ...] | None, text: str) -> set[str]:
 def build_graph(trace: ExecutionTrace) -> CausalGraph:
     """Derive the typed causal DAG for a trace (see module docstring).
 
-    Data edges come from an index, artifact name -> bitset of its producers,
-    built in step order: a consumer ORs in the earlier producers of the
-    names it consumes, so the cost follows the names, not the step pairs.
+    Every loop that sets a parent bit sets the matching successor bit. Data
+    edges come from two indexes built in one pass in step order, artifact
+    name -> bitset of its producers and of its consumers: a consumer ORs in
+    the earlier producers of the names it consumes, and a producer's data
+    successors are the OR of its names' consumers above its own id. So the
+    cost follows the names, not the step pairs.
     """
     steps = trace.steps
     ids = [s.step_id for s in steps]
     sequential, communication, data = parents = tuple(dict.fromkeys(ids, 0) for _ in EDGE_KINDS)
+    succs = dict.fromkeys(ids, 0)
 
     # Sequential: successive steps in each agent's own timeline.
     last_by_agent: dict[str, int] = {}
     for step in steps:
-        sequential[step.step_id] = last_by_agent.get(step.agent, 0)
-        last_by_agent[step.agent] = 1 << step.step_id
+        v = step.step_id
+        u = last_by_agent.get(step.agent)
+        if u is not None:
+            sequential[v] = 1 << u
+            succs[u] |= 1 << v
+        last_by_agent[step.agent] = v
 
     # Communication: hand-off at each agent-block boundary.
     for prev, step in zip(steps, steps[1:]):
         if prev.agent != step.agent:
             communication[step.step_id] |= 1 << prev.step_id
+            succs[prev.step_id] |= 1 << step.step_id
 
     # Communication: message steps link to their first cross-agent consumer.
     for step in steps:
@@ -156,19 +174,34 @@ def build_graph(trace: ExecutionTrace) -> CausalGraph:
         for later in steps[step.step_id :]:
             if later.agent != step.agent:
                 communication[later.step_id] |= 1 << step.step_id
+                succs[step.step_id] |= 1 << later.step_id
                 break
 
     # Data: declared artifact overlap, with a text-scan fallback per side.
     # A step consumes before it produces, so it only links to earlier
-    # producers.
+    # producers and later consumers, never to itself.
     producers: dict[str, int] = {}
+    consumers: dict[str, int] = {}
+    produced = []
     for step in steps:
+        bit = 1 << step.step_id
+        found = 0
         for name in _artifact_names(step.consumes, step.input):
-            data[step.step_id] |= producers.get(name, 0)
-        for name in _artifact_names(step.produces, step.output):
-            producers[name] = producers.get(name, 0) | 1 << step.step_id
+            found |= producers.get(name, 0)
+            consumers[name] = consumers.get(name, 0) | bit
+        data[step.step_id] = found
+        names = _artifact_names(step.produces, step.output)
+        for name in names:
+            producers[name] = producers.get(name, 0) | bit
+        produced.append(names)
+    for v, names in zip(ids, produced):
+        later = 0
+        for name in names:
+            later |= consumers.get(name, 0)
+        succs[v] |= later >> (v + 1) << (v + 1)
 
-    return CausalGraph.from_parents(ids, parents)
+    preds = {v: sequential[v] | communication[v] | data[v] for v in ids}
+    return CausalGraph(tuple(ids), parents, preds, succs)
 
 
 @dataclass(frozen=True)
@@ -235,25 +268,9 @@ def descendants(graph: CausalGraph, nodes: Iterable[int]) -> dict[int, int]:
     return {v: closed[v] ^ (1 << v) for v in wanted}
 
 
-def _ancestor_sweep(graph: CausalGraph) -> tuple[dict[int, int], dict[int, int]]:
-    """Ancestor mask (``v`` included) and longest-path depth of every node. A
-    predecessor inside the mask of a higher one is its ancestor: skipped."""
-    closed: dict[int, int] = {}
-    depth: dict[int, int] = {}
-    for v in graph.nodes:
-        mask, rest, d = 1 << v, graph.preds[v], 0
-        while rest:
-            u = rest.bit_length() - 1
-            mask |= closed[u]
-            d = max(d, depth[u] + 1)
-            rest &= ~mask
-        closed[v], depth[v] = mask, d
-    return closed, depth
-
-
 def longest_path_depth(graph: CausalGraph) -> dict[int, int]:
     """Longest path length from any source (no-parent node) to every node."""
-    return _ancestor_sweep(graph)[1]
+    return graph.ancestry[1]
 
 
 def betweenness(graph: CausalGraph, nodes: Iterable[int]) -> dict[int, float]:
@@ -270,50 +287,70 @@ def betweenness(graph: CausalGraph, nodes: Iterable[int]) -> dict[int, float]:
     pair ``s -> t`` passes through ``v`` only when ``t`` is a descendant of
     ``v``, so the targets are the nodes reachable from ``nodes``. A target
     whose ancestors are all direct predecessors is skipped (module docstring).
+
+    Distances, path counts, BFS parents and dependencies are lists indexed
+    by node id, sized ``max(graph.nodes) + 1``. A node's first BFS parent
+    has a list slot of its own; only a node reached by several shortest
+    paths keeps the rest in a dict. Predecessor masks are expanded to id
+    lists on first visit, so a call whose targets are all skipped expands
+    none.
     """
     wanted = sorted(nodes)
     for v in wanted:
         if v not in graph:
             raise NodeNotFound(f"node {v} not in graph")
-    scores = {v: 0.0 for v in wanted}
+    size = graph.nodes[-1] + 1 if graph.nodes else 0
+    is_wanted = bytearray(size)
+    for v in wanted:
+        is_wanted[v] = 1
+    scores = [0.0] * size
     targets = 0
     for u in graph.nodes:
-        if u in scores or targets >> u & 1:
+        if is_wanted[u] or targets >> u & 1:
             targets |= graph.succs[u]
-    ancestors, _ = _ancestor_sweep(graph)
-    # Each visited node's predecessor mask, expanded once per call.
-    pred_bits: dict[int, list[int]] = {}
+    ancestors = graph.ancestry[0]
+    pred_bits: list[list[int] | None] = [None] * size
     for target in _bits(targets):
         if ancestors[target] == graph.preds[target] | 1 << target:
             continue
-        # BFS phase over reverse edges: path counts and BFS parents, kept
-        # only for the nodes reached (the ancestors of ``target``). ``order``
-        # is also the FIFO queue: the loop reaches the nodes appended to it.
-        sigma = {target: 1}
-        dist = {target: 0}
-        preds: dict[int, list[int]] = {target: []}
+        # BFS phase over reverse edges: path counts and BFS parents of the
+        # nodes reached (the ancestors of ``target``). ``order`` is also the
+        # FIFO queue: the loop reaches the nodes appended to it.
+        dist = [-1] * size
+        sigma = [0] * size
+        first = [0] * size
+        more: dict[int, list[int]] = {}
+        dist[target], sigma[target] = 0, 1
         order = [target]
         for v in order:
             next_dist = dist[v] + 1
             sigma_v = sigma[v]
-            if v not in pred_bits:
-                pred_bits[v] = _bits(graph.preds[v])
-            for w in pred_bits[v]:
-                dist_w = dist.get(w)
-                if dist_w is None:
+            expanded = pred_bits[v]
+            if expanded is None:
+                expanded = pred_bits[v] = _bits(graph.preds[v])
+            for w in expanded:
+                dist_w = dist[w]
+                if dist_w < 0:
                     dist[w] = next_dist
                     sigma[w] = sigma_v
-                    preds[w] = [v]
+                    first[w] = v
                     order.append(w)
                 elif dist_w == next_dist:
                     sigma[w] += sigma_v
-                    preds[w].append(v)
-        # Accumulation phase in reverse BFS order.
-        delta = dict.fromkeys(order, 0.0)
-        for w in reversed(order):
+                    if w in more:
+                        more[w].append(v)
+                    else:
+                        more[w] = [v]
+        # Accumulation phase in reverse BFS order; the target, ``order[0]``,
+        # has no BFS parent and no score of its own.
+        delta = [0.0] * size
+        for w in order[:0:-1]:
             sigma_w, coeff = sigma[w], 1.0 + delta[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] / sigma_w * coeff
-            if w != target and w in scores:
+            v = first[w]
+            delta[v] += sigma[v] / sigma_w * coeff
+            if w in more:
+                for v in more[w]:
+                    delta[v] += sigma[v] / sigma_w * coeff
+            if is_wanted[w]:
                 scores[w] += delta[w]
-    return scores
+    return {v: scores[v] for v in wanted}

@@ -205,7 +205,9 @@ def _parse_step(obj: object, index: int) -> Step:
         if not isinstance(obj.get(key), str):
             raise _field_error(obj, key, str, f"steps[{index}]")
     confidence = obj.get("confidence")
-    if confidence is not None and not isinstance(confidence, (int, float)):
+    if confidence is not None and (
+        not isinstance(confidence, (int, float)) or isinstance(confidence, bool)
+    ):
         raise SchemaViolation(f"steps[{index}].confidence: expected number")
     return Step(
         step_id=step_id,

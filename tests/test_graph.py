@@ -50,17 +50,22 @@ def bits(mask):
 
 
 def from_edges(nodes, edges):
-    """``CausalGraph.from_parents`` over ``(src, dst, kind)`` tuples. An
-    endpoint that is not a node raises ``NodeNotFound``; edges with
-    ``src >= dst`` break chronology and are dropped, and duplicates of a
-    kind and pair collapse to one bit."""
+    """A ``CausalGraph`` over ``(src, dst, kind)`` tuples. An endpoint that
+    is not a node raises ``NodeNotFound``; edges with ``src >= dst`` break
+    chronology and are dropped, and duplicates of a kind and pair collapse
+    to one bit."""
+    nodes = tuple(sorted(nodes))
     parents = tuple(dict.fromkeys(nodes, 0) for _ in EDGE_KINDS)
+    succs = dict.fromkeys(nodes, 0)
     for src, dst, kind in edges:
-        if src not in parents[0] or dst not in parents[0]:
+        if src not in succs or dst not in succs:
             raise NodeNotFound(f"edge {src}->{dst}: endpoint not a node")
         if src < dst:
             parents[EDGE_KINDS.index(kind)][dst] |= 1 << src
-    return CausalGraph.from_parents(nodes, parents)
+            succs[src] |= 1 << dst
+    sequential, communication, data = parents
+    preds = {v: sequential[v] | communication[v] | data[v] for v in nodes}
+    return CausalGraph(nodes, parents, preds, succs)
 
 
 def chain_graph(n):
@@ -376,10 +381,7 @@ def test_betweenness_equals_tuple_brandes_exactly(case):
     assert betweenness(graph, graph.nodes) == reference_betweenness(graph, graph.nodes)
 
 
-@settings(max_examples=300, deadline=None)
-@given(dags_with_nodes())
-def test_betweenness_of_subset_matches_networkx(case):
-    graph, nodes = case
+def assert_matches_networkx(graph, nodes):
     digraph = nx.DiGraph()
     digraph.add_nodes_from(graph.nodes)
     digraph.add_edges_from((src, dst) for src, dst, _ in graph.edges)
@@ -388,6 +390,33 @@ def test_betweenness_of_subset_matches_networkx(case):
     assert set(scores) == nodes
     for v in nodes:
         assert math.isclose(scores[v], expected[v], rel_tol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags_with_nodes())
+def test_betweenness_of_subset_matches_networkx(case):
+    assert_matches_networkx(*case)
+
+
+@st.composite
+def sparse_dags_with_nodes(draw):
+    """``dags_with_nodes`` relabelled ``i -> 3*i + 2``: ids with gaps below,
+    between and above the nodes, which betweenness' id-indexed lists skip."""
+    graph, nodes = draw(dags_with_nodes())
+    relabel = {v: 3 * v + 2 for v in graph.nodes}
+    edges = [(relabel[src], relabel[dst], kind) for src, dst, kind in graph.edges]
+    return from_edges(list(relabel.values()), edges), {relabel[v] for v in nodes}
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_dags_with_nodes())
+def test_betweenness_on_sparse_ids(case):
+    graph, nodes = case
+    assert betweenness(graph, nodes) == reference_betweenness(graph, nodes)
+    assert_matches_networkx(graph, nodes)
+    for missing in (0, -1, graph.nodes[-1] + 1):
+        with pytest.raises(NodeNotFound):
+            betweenness(graph, nodes | {missing})
 
 
 @settings(max_examples=300, deadline=None)
@@ -488,5 +517,19 @@ def test_data_edges_match_pairwise_scan(mode):
         assert all(src < dst for src, dst, _ in graph.edges)
         data = {(src, dst) for src, dst, kind in graph.edges if kind == "data"}
         assert data == pairwise_data_edges(trace)
+
+    check()
+
+
+@pytest.mark.parametrize("mode", ["declared", "text", "mixed"])
+def test_succs_are_the_transpose_of_preds(mode):
+    @settings(max_examples=150, deadline=None)
+    @given(traces(mode))
+    def check(trace):
+        graph = build_graph(trace)
+        assert list(graph.succs) == list(graph.preds) == list(graph.nodes)
+        for u in graph.nodes:
+            for v in graph.nodes:
+                assert graph.succs[u] >> v & 1 == graph.preds[v] >> u & 1
 
     check()
