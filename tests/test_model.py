@@ -131,7 +131,11 @@ def _set(index, **fields):
         (_set(2, produces="x"), "steps[2].produces: expected list of strings"),
         (_set(2, consumes=["x", 1]), "steps[2].consumes: expected list of strings"),
         (_set(2, confidence="high"), "steps[2].confidence: expected number"),
-        (_set(2, confidence=True), "steps[2].confidence: expected number"),
+        pytest.param(
+            _set(2, confidence=True),
+            "steps[2].confidence: expected number",
+            id="bool-confidence",
+        ),
         # Two faults: the extra field is reported before the missing one.
         (
             lambda o: (o["steps"][2].pop("agent"), o["steps"][2].update(zz=1, aa=2)),
