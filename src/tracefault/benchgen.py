@@ -634,20 +634,6 @@ def generate_benchmark(
     return scenarios
 
 
-def make_bench_trace(n: int) -> ExecutionTrace:
-    """Bug-free trace of arbitrary length for runtime benchmarking."""
-    template = DOMAIN_TEMPLATES["software_development"]
-    # A fixed stream: the tier-1 ranking golden hashes these traces.
-    rng = random.Random(f"bench|0|{n}")
-    steps = _build_correct_steps(template, n, 0, rng)
-    return ExecutionTrace(
-        scenario_id=f"bench_{n:03d}",
-        domain=template.domain,
-        agents=template.agents,
-        steps=steps,
-    )
-
-
 _FAILURE_MARKERS = ("failed:", "traced back to", "remain unreconciled")
 
 

@@ -2,10 +2,9 @@
 
 Subcommands cover the full pipeline: ``generate`` (benchmark synthesis),
 ``analyze`` (single-trace diagnosis), ``evaluate`` (metrics over a
-benchmark), ``learn-weights`` (grid search), ``blind`` (anonymized split),
-and ``bench`` (runtime scaling). All outputs are written atomically (temp
-file then rename) and no subcommand mutates its inputs, so reruns are
-idempotent.
+benchmark), ``learn-weights`` (grid search) and ``blind`` (anonymized split).
+All outputs are written atomically (temp file then rename) and no subcommand
+mutates its inputs, so reruns are idempotent.
 
 Exit codes: 0 success, 1 failed ``--check`` thresholds, 2 usage errors,
 3 input/output or schema errors.
@@ -276,19 +275,6 @@ def cmd_blind(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from .evaluation import runtime_bench
-
-    result = runtime_bench(sizes=args.sizes, reps=args.reps)
-    _write_json(Path(args.out), result)
-    largest = max(result["rows"], key=lambda row: row["steps"])
-    print(
-        f"sizes {args.sizes}: {largest['steps']} steps in {largest['mean_ms']:.3f} ms"
-        f" -> {args.out}"
-    )
-    return 0
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -297,10 +283,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _sizes(text: str) -> tuple[int, ...]:
-    return tuple(_positive_int(size) for size in text.split(","))
 
 
 def _methods(text: str) -> tuple[str, ...]:
@@ -375,12 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bl.add_argument("--salt", default="tracefault")
     p_bl.add_argument("--out-dir", default=None, help="default: the benchmark directory")
     p_bl.set_defaults(func=cmd_blind)
-
-    p_be = sub.add_parser("bench", help="runtime scaling across trace sizes")
-    p_be.add_argument("--sizes", type=_sizes, default="5,10,15,20,25")
-    p_be.add_argument("--reps", type=_positive_int, default=30)
-    p_be.add_argument("--out", default="timings.json")
-    p_be.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -13,15 +13,13 @@ Each trace is reduced once to a ``FeatureTable``; the main method, the
 ablations and the sweep all score that table, so features are computed once
 per trace. Aggregation is a deterministic reduce in input order.
 
-Outputs are plain dicts shaped for ``metrics.json`` / ``significance.json``
-/ ``timings.json``, plus a markdown rendering.
+Outputs are plain dicts shaped for ``metrics.json`` and ``significance.json``,
+plus the markdown rendering written to ``report.md``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from statistics import pstdev
 
 from .baselines import (
     classify_llm_error,
@@ -82,9 +80,6 @@ CHECK_THRESHOLDS = {
     "mrr": 0.93,
     "mcnemar_p_max": 1e-6,
 }
-
-# Untimed ``rank`` calls per size before ``runtime_bench`` starts its clock.
-BENCH_WARMUP = 3
 
 
 @dataclass(frozen=True)
@@ -160,6 +155,15 @@ def _strata_block(units, ranks, key_fn) -> dict:
     for unit, r in zip(units, ranks):
         strata.setdefault(key_fn(unit), []).append(r)
     return {label: _accuracy(strata[label]) for label in sorted(strata)}
+
+
+def _quantile(values: list[float], q: float) -> float:
+    """Linear-interpolation quantile of a non-empty list, as ``numpy.quantile``."""
+    ordered = sorted(values)
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def _length_bucket(unit: EvalUnit) -> str:
@@ -283,8 +287,8 @@ def evaluate(
         }
         result["component_timings_ms"] = {
             name: {
-                "mean": sum(t[name] for t in timings) / len(timings),
-                "std": pstdev([t[name] for t in timings]),
+                "p50": _quantile([t[name] for t in timings], 0.5),
+                "p95": _quantile([t[name] for t in timings], 0.95),
             }
             for name in sorted(timings[0])
         }
@@ -354,34 +358,6 @@ def run_checks(result: dict) -> list[str]:
                     f"{CHECK_THRESHOLDS['mcnemar_p_max']}"
                 )
     return failures
-
-
-def runtime_bench(sizes=(5, 10, 15, 20, 25), reps: int = 30) -> dict:
-    """Wall-clock scaling of the analysis pipeline with trace length.
-
-    Each size ranks one ``make_bench_trace`` under the default weights and
-    feature config: ``BENCH_WARMUP`` untimed runs, then ``reps`` timed ones.
-    Times exclude JSON parsing: traces are pre-built, the clock covers
-    graph construction through ranking. Single-threaded by design.
-    """
-    from .benchgen import make_bench_trace
-
-    weights, config = WeightVector(), FeatureConfig()
-    rows = []
-    for n in sizes:
-        trace = make_bench_trace(n)
-        for _ in range(BENCH_WARMUP):
-            rank(trace, weights, config)
-        samples = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            rank(trace, weights, config)
-            samples.append((time.perf_counter() - start) * 1e3)
-        samples.sort()
-        mean_ms = sum(samples) / len(samples)
-        p95 = samples[min(len(samples) - 1, int(round(0.95 * (len(samples) - 1))))]
-        rows.append({"steps": n, "mean_ms": mean_ms, "p95_ms": p95})
-    return {"rows": rows}
 
 
 def render_report(result: dict) -> str:

@@ -6,10 +6,11 @@ Traces are ordered by ``step_id``; timestamps are carried verbatim but never
 interpreted. All types are immutable after construction and safe to share
 across threads; parsing and serialization are pure functions.
 
-On-disk formats (UTF-8, newline-terminated, sorted keys):
+On-disk formats (UTF-8, newline-terminated, sorted keys), as ``generate``
+lays them out:
 
-* ``scenario.json``       -- annotated scenario: trace + ``ground_truth``.
-* ``scenario.blind.json`` -- trace only, with an anonymized ``scenario_id``;
+* ``scenarios/<id>.json`` -- annotated scenario: trace + ``ground_truth``.
+* ``blind/<id>.json``     -- trace only, with an anonymized ``scenario_id``;
   any ``ground_truth`` key is rejected so analyzers cannot leak labels.
 * ``answers.json``        -- separate map from anonymized id to ground truth.
 """

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from tracefault.baselines import FixtureAdapter
-from tracefault.benchgen import generate_benchmark
+from tracefault.benchgen import DOMAIN_TEMPLATES, _build_correct_steps, generate_benchmark
 from tracefault.evaluation import units_from_scenarios
+from tracefault.model import ExecutionTrace
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -22,6 +23,18 @@ def seed42_benchmark():
 @pytest.fixture(scope="session")
 def units(seed42_benchmark):
     return units_from_scenarios([g.scenario for g in seed42_benchmark])
+
+
+def bench_trace(n: int) -> ExecutionTrace:
+    """Bug-free trace of ``n`` steps; a fixed stream, as the ranking golden hashes it."""
+    template = DOMAIN_TEMPLATES["software_development"]
+    steps = _build_correct_steps(template, n, 0, random.Random(f"bench|0|{n}"))
+    return ExecutionTrace(
+        scenario_id=f"bench_{n:03d}",
+        domain=template.domain,
+        agents=template.agents,
+        steps=steps,
+    )
 
 
 def simulated_llm_fixture(benchmark, accuracy=0.66, seed=7) -> dict[str, str]:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import bench_trace
 from tracefault.benchgen import (
     DEFAULT_COUNTS,
     DOMAIN_TEMPLATES,
@@ -11,7 +12,6 @@ from tracefault.benchgen import (
     benchmark_manifest,
     blind_id,
     generate_benchmark,
-    make_bench_trace,
     make_blind,
     verify_ground_truth,
 )
@@ -169,7 +169,7 @@ def test_manifest_summaries(small_batch):
 
 def test_bench_trace_arbitrary_sizes():
     for n in (5, 10, 25):
-        trace = make_bench_trace(n)
+        trace = bench_trace(n)
         assert len(trace) == n
         build_graph(trace)
 

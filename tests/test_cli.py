@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tracefault
+from conftest import FIXTURES
 from tracefault import cli, ranking
 from tracefault.cli import main
 from tracefault.errors import TracefaultError
@@ -69,9 +70,8 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         (["evaluate", "b", "--methods", "bogus"], "--methods: unknown method bogus"),
         (["evaluate", "b", "--methods", ","], "--methods: no method given"),
         (["evaluate", "b", "--methods", "last,last"], "--methods: method given twice"),
-        (["bench", "--reps", "0"], "--reps: must be >= 1"),
-        (["bench", "--sizes", "abc"], "--sizes: not an integer: 'abc'"),
-        (["bench", "--sizes", "5,0"], "--sizes: must be >= 1"),
+        (["analyze", "t.json", "--max-depth", "abc"], "--max-depth: not an integer: 'abc'"),
+        (["bench"], "invalid choice: 'bench'"),
     ],
     ids=[
         "analyze-max-depth-0",
@@ -82,9 +82,8 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         "unknown-method",
         "no-method",
         "repeated-method",
-        "reps-0",
-        "sizes-not-int",
-        "sizes-0",
+        "max-depth-not-int",
+        "bench-removed",
     ],
 )
 def test_bad_flag_values_exit_2_with_a_message(capsys, argv, message):
@@ -233,6 +232,31 @@ def test_analyze_accepts_a_partial_feature_config(tmp_path, example1_path):
     assert json.loads(out.read_text())["candidates"]
 
 
+@pytest.mark.parametrize("names", [["example1"], ["example1", "example2"]], ids=["one", "two"])
+def test_evaluate_tiny_benchmark_writes_a_report(tmp_path, names):
+    (tmp_path / "scenarios").mkdir()
+    for name in names:
+        data = (FIXTURES / f"{name}.json").read_bytes()
+        (tmp_path / "scenarios" / f"{name}.json").write_bytes(data)
+    out_dir = tmp_path / "out"
+    assert main(["evaluate", str(tmp_path), "--out-dir", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "metrics.json",
+        "report.md",
+        "significance.json",
+    ]
+    metrics = json.loads((out_dir / "metrics.json").read_text())
+    assert metrics["scenario_count"] == len(names)
+    timings = metrics["component_timings_ms"]
+    assert sorted(timings) == [
+        "backward_tracing",
+        "feature_extraction",
+        "graph_construction",
+        "node_ranking",
+    ]
+    assert all(0 <= t["p50"] <= t["p95"] for t in timings.values())
+
+
 def test_evaluate_blind_answer_without_bug_type_exits_3(tmp_path, example1_bytes, capsys):
     (tmp_path / "scenarios").mkdir()
     (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
@@ -360,17 +384,6 @@ def test_analyze_markdown_keeps_the_group_table(example1_path, capsys, explain):
     if explain:
         for row, cand in zip(rows, candidates):
             assert row[3:] == [f"{cand['groups'][g]:.3f}" for g in ranking.GROUP_ORDER]
-
-
-def test_bench_writes_one_row_per_size(tmp_path, capsys):
-    out = tmp_path / "timings.json"
-    assert main(["bench", "--sizes", "5,8", "--reps", "2", "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
-    assert list(result) == ["rows"]
-    rows = result["rows"]
-    assert [row["steps"] for row in rows] == [5, 8]
-    assert all(row["mean_ms"] > 0 and row["p95_ms"] > 0 for row in rows)
-    assert "8 steps" in capsys.readouterr().out
 
 
 def modules_after_main(argv) -> set[str]:

@@ -8,8 +8,8 @@ whole report, the canonical JSON of ``to_obj()`` followed by the
 
 * the 550 seed-42 benchmark scenarios;
 * the validation split (``cli.VALIDATION_SEED``, 5 per domain);
-* a 400-step ``make_bench_trace`` (declared artifacts) and a 200-step one
-  with ``produces``/``consumes`` removed, so its data edges come from the
+* a 400-step ``conftest.bench_trace`` (declared artifacts) and a 200-step
+  one with ``produces``/``consumes`` removed, so its data edges come from the
   identifier scan.
 
 It also holds ``evaluation_sha256``, a digest of one seed-42 ``evaluate`` over
@@ -28,9 +28,9 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
-from conftest import simulated_llm_fixture
+from conftest import bench_trace, simulated_llm_fixture
 from tracefault.baselines import FixtureAdapter
-from tracefault.benchgen import generate_benchmark, make_bench_trace
+from tracefault.benchgen import generate_benchmark
 from tracefault.cli import VALIDATION_PER_DOMAIN, VALIDATION_SEED
 from tracefault.evaluation import METHODS, evaluate, render_report, units_from_scenarios
 from tracefault.graph import build_graph
@@ -45,7 +45,7 @@ def golden_traces():
     validation = generate_benchmark(
         seed=VALIDATION_SEED, counts={domain: VALIDATION_PER_DOMAIN for domain in DOMAINS}
     )
-    scan = make_bench_trace(200)
+    scan = bench_trace(200)
     scan = replace(
         scan,
         scenario_id="bench_200_textscan",
@@ -54,7 +54,7 @@ def golden_traces():
     return (
         [(f"seed42/{g.trace.scenario_id}", g.trace) for g in generate_benchmark(seed=42)]
         + [(f"validation/{g.trace.scenario_id}", g.trace) for g in validation]
-        + [(f"bench/{t.scenario_id}", t) for t in (make_bench_trace(400), scan)]
+        + [(f"bench/{t.scenario_id}", t) for t in (bench_trace(400), scan)]
     )
 
 
