@@ -47,6 +47,7 @@ from .stats import (
     hit_at_k,
     mcnemar,
     mrr,
+    percentile,
 )
 from .weights import hit_at_1_by_weights, sweep_rows
 
@@ -155,15 +156,6 @@ def _strata_block(units, ranks, key_fn) -> dict:
     for unit, r in zip(units, ranks):
         strata.setdefault(key_fn(unit), []).append(r)
     return {label: _accuracy(strata[label]) for label in sorted(strata)}
-
-
-def _quantile(values: list[float], q: float) -> float:
-    """Linear-interpolation quantile of a non-empty list, as ``numpy.quantile``."""
-    ordered = sorted(values)
-    pos = q * (len(ordered) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(ordered) - 1)
-    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 def _length_bucket(unit: EvalUnit) -> str:
@@ -285,13 +277,13 @@ def evaluate(
             "bug_position": _strata_block(units, main_ranks, lambda u: u.bucket),
             "domain": _strata_block(units, main_ranks, lambda u: u.trace.domain),
         }
-        result["component_timings_ms"] = {
-            name: {
-                "p50": _quantile([t[name] for t in timings], 0.5),
-                "p95": _quantile([t[name] for t in timings], 0.95),
+        result["component_timings_ms"] = {}
+        for name in sorted(timings[0]):
+            s = sorted(t[name] for t in timings)
+            result["component_timings_ms"][name] = {
+                "p50": percentile(s, 0.5),
+                "p95": percentile(s, 0.95),
             }
-            for name in sorted(timings[0])
-        }
 
     if "llm" in ranks_by_method:
         result["llm_error_analysis"] = dict(sorted(llm_errors.items()))

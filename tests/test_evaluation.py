@@ -2,7 +2,6 @@
 
 import itertools
 
-import numpy as np
 import pytest
 
 import tracefault.evaluation as evaluation
@@ -188,11 +187,3 @@ def test_blind_and_annotated_units_agree_on_deterministic_methods(seed42_benchma
         a, b = annotated["methods"][method], blind["methods"][method]
         assert {k: a[k] for k in fields} == {k: b[k] for k in fields}, method
     assert annotated["strata"] == blind["strata"]
-
-
-@pytest.mark.parametrize(
-    "values", [[2.5], [3.0, 1.0], [0.4, 0.1, 0.9, 0.3, 0.7], list(range(20, 0, -1))]
-)
-@pytest.mark.parametrize("q", [0.5, 0.95])
-def test_timing_quantile_matches_numpy_linear(values, q):
-    assert evaluation._quantile(values, q) == pytest.approx(float(np.quantile(values, q)))

@@ -138,6 +138,9 @@ def test_percentile_linear_interpolation():
     assert percentile(values, 0.0) == 0.0
     assert percentile(values, 1.0) == 3.0
     assert percentile([7.0], 0.4) == 7.0
+    for sample in ([3.0, 1.0], [0.4, 0.1, 0.9, 0.3, 0.7], list(range(20, 0, -1))):
+        for q in (0.5, 0.95):
+            assert percentile(sorted(sample), q) == pytest.approx(float(np.quantile(sample, q)))
 
 
 @pytest.mark.parametrize("q", [-0.1, 1.1, math.nan])
