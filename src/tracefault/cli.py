@@ -6,6 +6,12 @@ benchmark), ``learn-weights`` (grid search) and ``blind`` (anonymized split).
 All outputs are written atomically (temp file then rename) and no subcommand
 mutates its inputs, so reruns are idempotent.
 
+``evaluate`` streams the benchmark: it parses each scenario file (on the
+blind split, each blind file, joined to ``answers.json``, which is read
+first) only when the evaluation reaches it, and keeps no trace past that
+file's record. A bad file still exits 3 naming it, after the files before
+it have been ranked; nothing is written until every file has been read.
+
 Exit codes: 0 success, 1 failed ``--check`` thresholds, 2 usage errors,
 3 input/output or schema errors.
 
@@ -142,19 +148,28 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _parse_file(path: Path, parse):
-    """``parse`` the file's bytes; a parse error names the file."""
+def _naming(path: Path, build, *args):
+    """``build(*args)``; a toolkit error it raises names ``path``."""
     try:
-        return parse(path.read_bytes())
+        return build(*args)
     except TracefaultError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
-def _read_scenarios(directory: Path):
+def _parse_file(path: Path, parse):
+    """``parse`` the file's bytes; a parse error names the file."""
+    return _naming(path, parse, path.read_bytes())
+
+
+def _scenario_files(directory: Path) -> list[Path]:
     files = sorted(directory.glob("*.json"))
     if not files:
         raise TracefaultError(f"no scenario files in {directory}")
-    return [_parse_file(path, parse_scenario) for path in files]
+    return files
+
+
+def _read_scenarios(directory: Path):
+    return [_parse_file(path, parse_scenario) for path in _scenario_files(directory)]
 
 
 def cmd_analyze(args) -> int:
@@ -190,24 +205,31 @@ def cmd_evaluate(args) -> int:
         evaluate,
         render_report,
         run_checks,
-        units_from_blind,
-        units_from_scenarios,
+        unit_from_blind,
+        unit_from_scenario,
     )
 
+    # Lazy units: ``evaluate`` parses each file only when it reaches it and
+    # drops the trace once the file's record is made.
     bench = Path(args.benchmark)
     if args.blind:
         answers_path = bench / "answers.json"
         if not answers_path.exists():
             raise TracefaultError(f"blind evaluation needs {answers_path}")
         blind_dir = bench / "blind"
-        traces = [_parse_file(p, parse_trace_blind) for p in sorted(blind_dir.glob("*.json"))]
-        if not traces:
+        blind_files = sorted(blind_dir.glob("*.json"))
+        if not blind_files:
             raise TracefaultError(f"no blind traces in {blind_dir}")
-        units = _parse_file(
-            answers_path, lambda data: units_from_blind(traces, load_json_object(data))
+        answers = _parse_file(answers_path, load_json_object)
+        units = (
+            _naming(answers_path, unit_from_blind, _parse_file(p, parse_trace_blind), answers)
+            for p in blind_files
         )
     else:
-        units = units_from_scenarios(_read_scenarios(bench / "scenarios"))
+        units = (
+            unit_from_scenario(_parse_file(p, parse_scenario))
+            for p in _scenario_files(bench / "scenarios")
+        )
 
     adapter = None
     if args.llm_fixture:

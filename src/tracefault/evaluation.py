@@ -9,9 +9,15 @@ form. Two outputs still differ: the random baseline seeds by scenario id,
 which blinding renames, and the bootstrap intervals depend on the order of
 the units, which follows file names and so differs between the splits.
 
-Each trace is reduced once to a ``FeatureTable``; the main method, the
-ablations and the sweep all score that table, so features are computed once
-per trace. Aggregation is a deterministic reduce in input order.
+``evaluate`` takes the units as any iterable and consumes it once, one unit
+at a time. It runs every requested method on the unit and reduces it to a
+``UnitRecord``: the strata keys, the root's rank under each method,
+tracefault's layer timings and, only when the ablations or the sweep need
+it, the unit's ``FeatureTable``. No trace is kept past its record, so a lazy
+iterator of parsed files never holds more than one trace. Features are
+computed once per trace; the main method, the ablations and the sweep all
+score that table. Every output is a deterministic reduce over the records
+in input order.
 
 Outputs are plain dicts shaped for ``metrics.json`` and ``significance.json``,
 plus the markdown rendering written to ``report.md``.
@@ -19,6 +25,8 @@ plus the markdown rendering written to ``report.md``.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .baselines import (
@@ -37,7 +45,7 @@ from .errors import (
 )
 from .features import FeatureConfig
 from .model import ExecutionTrace, Scenario, parse_ground_truth
-from .ranking import DEFAULT_MAX_DEPTH, GROUP_ORDER, WeightVector, rank
+from .ranking import DEFAULT_MAX_DEPTH, GROUP_ORDER, FeatureTable, WeightVector, rank
 from .stats import (
     BOOTSTRAP_DEFAULT_B,
     BOOTSTRAP_DEFAULT_SEED,
@@ -58,6 +66,8 @@ METHODS = (MAIN_METHOD, *HEURISTIC_METHODS, "llm")
 DEFAULT_EVAL_SEED = 17
 
 LENGTH_BUCKETS = ((8, 9), (10, 11), (12, 13), (14, 15))
+
+STRATA = ("bug_type", "trace_length", "bug_position", "domain")
 
 ABLATION_COMBOS: tuple[tuple[str, ...], ...] = (
     ("position",),
@@ -102,43 +112,53 @@ def _bucket_of(root: int) -> str:
     return "late"
 
 
-def units_from_scenarios(scenarios) -> list[EvalUnit]:
-    units = []
-    for scenario in scenarios:
-        gt = scenario.ground_truth
-        units.append(
-            EvalUnit(
-                trace=scenario.trace,
-                root_cause=gt.root_cause_node_id,
-                error_node=gt.error_node_id,
-                bug_type=gt.bug_type,
-                bucket=_bucket_of(gt.root_cause_node_id),
-            )
-        )
-    return units
+def unit_from_scenario(scenario: Scenario) -> EvalUnit:
+    gt = scenario.ground_truth
+    return EvalUnit(
+        trace=scenario.trace,
+        root_cause=gt.root_cause_node_id,
+        error_node=gt.error_node_id,
+        bug_type=gt.bug_type,
+        bucket=_bucket_of(gt.root_cause_node_id),
+    )
 
 
-def units_from_blind(blind_traces, answers: dict) -> list[EvalUnit]:
-    """Join blind traces to the answer key by anonymized id.
+def unit_from_blind(trace: ExecutionTrace, answers: dict) -> EvalUnit:
+    """Join one blind trace to its answer-key entry by anonymized id.
 
-    Each entry passes the checks of an annotated scenario's ground truth
+    The entry passes the checks of an annotated scenario's ground truth
     against its trace; keys beyond the ground truth's, such as
     ``original_id``, are ignored.
     """
-    scenarios = []
-    for trace in blind_traces:
-        answer = answers.get(trace.scenario_id)
-        if answer is None:
-            raise MissingAnswers(
-                f"no answer key entry for blind id {trace.scenario_id!r}"
-            )
-        try:
-            if not isinstance(answer, dict):
-                raise SchemaViolation(f"expected object, got {type(answer).__name__}")
-            scenarios.append(Scenario(trace, parse_ground_truth(answer)))
-        except TracefaultError as exc:
-            raise type(exc)(f"answer key entry {trace.scenario_id!r}: {exc}") from None
-    return units_from_scenarios(scenarios)
+    answer = answers.get(trace.scenario_id)
+    if answer is None:
+        raise MissingAnswers(f"no answer key entry for blind id {trace.scenario_id!r}")
+    try:
+        if not isinstance(answer, dict):
+            raise SchemaViolation(f"expected object, got {type(answer).__name__}")
+        return unit_from_scenario(Scenario(trace, parse_ground_truth(answer)))
+    except TracefaultError as exc:
+        raise type(exc)(f"answer key entry {trace.scenario_id!r}: {exc}") from None
+
+
+@dataclass(frozen=True, slots=True)
+class UnitRecord:
+    """What an evaluation keeps of one unit once its trace is dropped.
+
+    ``strata`` holds the unit's key in each of ``STRATA``; ``ranks`` the
+    root's rank under each evaluated method, in the order the methods were
+    given. ``timings_ms`` is set when the main method ran, and ``table``
+    only when the ablations or the sweep rescore it. The llm fields say
+    whether its completion fell back, and how its rank-1 pick missed.
+    """
+
+    root_cause: int
+    strata: tuple[str, ...]
+    ranks: tuple[int | None, ...]
+    timings_ms: dict[str, float] | None
+    table: FeatureTable | None
+    llm_fell_back: bool
+    llm_error: str | None
 
 
 def _accuracy(ranks) -> dict:
@@ -151,15 +171,14 @@ def _accuracy(ranks) -> dict:
     }
 
 
-def _strata_block(units, ranks, key_fn) -> dict:
+def _strata_block(keys, ranks) -> dict:
     strata: dict[str, list] = {}
-    for unit, r in zip(units, ranks):
-        strata.setdefault(key_fn(unit), []).append(r)
+    for key, r in zip(keys, ranks):
+        strata.setdefault(key, []).append(r)
     return {label: _accuracy(strata[label]) for label in sorted(strata)}
 
 
-def _length_bucket(unit: EvalUnit) -> str:
-    n = len(unit.trace)
+def _length_bucket(n: int) -> str:
     for lo, hi in LENGTH_BUCKETS:
         if lo <= n <= hi:
             return f"{lo}-{hi}"
@@ -167,7 +186,7 @@ def _length_bucket(unit: EvalUnit) -> str:
 
 
 def evaluate(
-    units: list[EvalUnit],
+    units: Iterable[EvalUnit],
     methods=("tracefault", "random", "first", "last"),
     weights: WeightVector | None = None,
     config: FeatureConfig | None = None,
@@ -179,64 +198,71 @@ def evaluate(
     with_ablations: bool = False,
     with_sweep: bool = False,
 ) -> dict:
-    """Run every requested method over the benchmark and aggregate."""
-    if not units:
-        raise EmptyBenchmark("evaluate over zero scenarios")
+    """Run every requested method over the benchmark and aggregate.
+
+    ``units`` may be any iterable, a lazy one included: it is consumed
+    once, and each unit is reduced to its ``UnitRecord`` before the next
+    one is requested, so no trace outlives its record.
+    """
     weights = weights or WeightVector()
     config = config or FeatureConfig()
-
     orderings = {
         "random": lambda trace: random_baseline(trace, eval_seed),
         "first": first_node_baseline,
         "last": last_node_baseline,
     }
-    ranks_by_method: dict[str, list[int | None]] = {}
-    tables = []
-    timings: list[dict[str, float]] = []
-    llm_errors: dict[str, int] = {}
-    llm_fallbacks = 0
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}")
+    if "llm" in methods and llm_adapter is None:
+        raise MissingAnswers("llm method requested without an adapter")
+    keep_tables = with_ablations or with_sweep
 
     # Every method is anchored at the final step; answers are consulted only
     # for scoring, which keeps blind and annotated runs identical.
-    for method in methods:
+    def record_of(unit: EvalUnit) -> UnitRecord:
+        trace, root = unit.trace, unit.root_cause
         ranks: list[int | None] = []
-        if method == MAIN_METHOD:
-            for unit in units:
-                diagnosis = rank(unit.trace, weights, config, max_depth)
-                ranks.append(diagnosis.rank_of(unit.root_cause))
-                timings.append(diagnosis.timings_ms)
-                tables.append(diagnosis.table)
-        elif method in orderings:
-            ranks = [orderings[method](u.trace).index(u.root_cause) + 1 for u in units]
-        elif method == "llm":
-            if llm_adapter is None:
-                raise MissingAnswers("llm method requested without an adapter")
-            for u in units:
-                ordering, fell_back = llm_baseline(u.trace, llm_adapter)
-                ranks.append(ordering.index(u.root_cause) + 1)
-                llm_fallbacks += fell_back
-                if ordering[0] != u.root_cause:
-                    label = classify_llm_error(ordering[0], u.root_cause, u.error_node)
-                    llm_errors[label] = llm_errors.get(label, 0) + 1
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        ranks_by_method[method] = ranks
+        timings = table = llm_error = None
+        fell_back = False
+        for method in methods:
+            if method == MAIN_METHOD:
+                diagnosis = rank(trace, weights, config, max_depth)
+                ranks.append(diagnosis.rank_of(root))
+                timings = diagnosis.timings_ms
+                table = diagnosis.table if keep_tables else None
+            elif method == "llm":
+                ordering, fell_back = llm_baseline(trace, llm_adapter)
+                ranks.append(ordering.index(root) + 1)
+                if ordering[0] != root:
+                    llm_error = classify_llm_error(ordering[0], root, unit.error_node)
+            else:
+                ranks.append(orderings[method](trace).index(root) + 1)
+        strata = (unit.bug_type, _length_bucket(len(trace)), unit.bucket, trace.domain)
+        return UnitRecord(root, strata, tuple(ranks), timings, table, fell_back, llm_error)
+
+    # ``map`` holds no unit between calls, so each trace is freed before the
+    # next unit is requested.
+    records = list(map(record_of, units))
+    if not records:
+        raise EmptyBenchmark("evaluate over zero scenarios")
+    ranks_of = dict(zip(methods, zip(*(record.ranks for record in records))))
 
     # One call draws the resamples once and applies them to every method.
     intervals = bootstrap_ci(
-        [[1 if r == 1 else 0 for r in ranks] for ranks in ranks_by_method.values()],
+        [[1 if r == 1 else 0 for r in ranks] for ranks in ranks_of.values()],
         b=bootstrap_b,
         seed=bootstrap_seed,
     )
     metrics = {
         method: {**_accuracy(ranks), "hit_at_1_ci95": list(interval)}
-        for (method, ranks), interval in zip(ranks_by_method.items(), intervals)
+        for (method, ranks), interval in zip(ranks_of.items(), intervals)
     }
 
     significance = {}
-    if MAIN_METHOD in ranks_by_method:
-        main_correct = [r == 1 for r in ranks_by_method[MAIN_METHOD]]
-        for method, ranks in ranks_by_method.items():
+    if MAIN_METHOD in ranks_of:
+        main_correct = [r == 1 for r in ranks_of[MAIN_METHOD]]
+        for method, ranks in ranks_of.items():
             if method == MAIN_METHOD:
                 continue
             pairs = list(zip(main_correct, [r == 1 for r in ranks]))
@@ -262,60 +288,62 @@ def evaluate(
             }
 
     result: dict = {
-        "scenario_count": len(units),
+        "scenario_count": len(records),
         "methods": metrics,
         "significance": significance,
         "weights": weights.as_dict(),
         "config_fingerprint": config.fingerprint(),
     }
 
-    if MAIN_METHOD in ranks_by_method:
-        main_ranks = ranks_by_method[MAIN_METHOD]
+    if MAIN_METHOD in ranks_of:
+        main_ranks = ranks_of[MAIN_METHOD]
         result["strata"] = {
-            "bug_type": _strata_block(units, main_ranks, lambda u: u.bug_type),
-            "trace_length": _strata_block(units, main_ranks, _length_bucket),
-            "bug_position": _strata_block(units, main_ranks, lambda u: u.bucket),
-            "domain": _strata_block(units, main_ranks, lambda u: u.trace.domain),
+            name: _strata_block([record.strata[i] for record in records], main_ranks)
+            for i, name in enumerate(STRATA)
         }
         result["component_timings_ms"] = {}
-        for name in sorted(timings[0]):
-            s = sorted(t[name] for t in timings)
+        for name in sorted(records[0].timings_ms):
+            s = sorted(record.timings_ms[name] for record in records)
             result["component_timings_ms"][name] = {
                 "p50": percentile(s, 0.5),
                 "p95": percentile(s, 0.95),
             }
 
-    if "llm" in ranks_by_method:
-        result["llm_error_analysis"] = dict(sorted(llm_errors.items()))
-        result["llm_fallbacks"] = llm_fallbacks
+    if "llm" in ranks_of:
+        misses = Counter(record.llm_error for record in records if record.llm_error)
+        result["llm_error_analysis"] = dict(sorted(misses.items()))
+        result["llm_fallbacks"] = sum(record.llm_fell_back for record in records)
 
-    if with_ablations and MAIN_METHOD in ranks_by_method:
-        result["ablations"] = ablation_table(units, tables)
+    if with_ablations and MAIN_METHOD in ranks_of:
+        result["ablations"] = ablation_table(records)
         result["ablations"]["full"] = {
             "groups": list(GROUP_ORDER),
             "hit_at_1": metrics[MAIN_METHOD]["hit_at_1"],
         }
-    if with_sweep and MAIN_METHOD in ranks_by_method:
+    if with_sweep and MAIN_METHOD in ranks_of:
         result["position_weight_sweep"] = [
-            {"w_position": w, "hit_at_1": h}
-            for w, h in sweep_over_units(units, tables)
+            {"w_position": w, "hit_at_1": h} for w, h in sweep_over_units(records)
         ]
     return result
 
 
-def sweep_over_units(units, tables):
-    """Hit@1 per position weight, scored from the units' feature tables."""
-    return sweep_rows(tables, [u.root_cause for u in units])
+def _tables_and_roots(records) -> tuple[list[FeatureTable], list[int]]:
+    return [record.table for record in records], [record.root_cause for record in records]
+
+
+def sweep_over_units(records):
+    """Hit@1 per position weight, scored from the records' feature tables."""
+    return sweep_rows(*_tables_and_roots(records))
 
 
 GROUP_LETTERS = dict(zip(GROUP_ORDER, "PSCFE"))
 
 
-def ablation_table(units, tables) -> dict:
+def ablation_table(records) -> dict:
     """Hit@1 for feature-group subsets (weights renormalized to sum one),
-    scored from the units' feature tables."""
+    scored from the records' feature tables."""
     points = [WeightVector.restricted(combo) for combo in ABLATION_COMBOS]
-    hits = hit_at_1_by_weights(tables, [u.root_cause for u in units], points)
+    hits = hit_at_1_by_weights(*_tables_and_roots(records), points)
     return {
         "+".join(GROUP_LETTERS[g] for g in combo): {"groups": list(combo), "hit_at_1": hit}
         for combo, hit in zip(ABLATION_COMBOS, hits)

@@ -238,10 +238,6 @@ def _words(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
-def _count_matches(words: list[str], keyword_set: frozenset[str]) -> int:
-    return sum(1 for w in words if w in keyword_set)
-
-
 def extract_raw(
     trace: ExecutionTrace,
     graph: CausalGraph,
@@ -263,8 +259,8 @@ def extract_raw(
     dist = [candidates.depth_of[v] for v in members]
     longest = longest_path_depth(graph)
     depth = [longest[v] for v in members]
-    max_out = max((graph.out_degree(v) for v in graph.nodes), default=0)
-    max_in = max((graph.in_degree(v) for v in graph.nodes), default=0)
+    max_out = max(map(int.bit_count, graph.succs.values()), default=0)
+    max_in = max(map(int.bit_count, graph.preds.values()), default=0)
     betw = betweenness(graph, members)
     reach = descendants(graph, members)
 
@@ -285,8 +281,13 @@ def extract_raw(
     def scaled(values, top):
         return [x / top if top > 0 else 0.0 for x in values]
 
+    # Set operations and ``map`` run the word loops in C; the counts are
+    # integers, so each score is the same as a Python loop's.
     def any_of(keywords):
-        return [float(_count_matches(w, keywords) > 0) for w in words]
+        return [float(not keywords.isdisjoint(w)) for w in words]
+
+    def count(keywords, w):
+        return sum(map(keywords.__contains__, w))
 
     return {
         "normalized_position": [v / n for v in members],
@@ -303,7 +304,7 @@ def extract_raw(
             min(abs(len(step.output) - mu) / (3.0 * sigma), 1.0) if sigma > 0 else 0.0
             for step in steps
         ],
-        "keyword_density": [_count_matches(w, keyword_set) / len(w) if w else 0.0 for w in words],
+        "keyword_density": [count(keyword_set, w) / len(w) if w else 0.0 for w in words],
         "agent_switch": [
             float(v > 1 and trace.step(v - 1).agent != step.agent)
             for v, step in zip(members, steps)
@@ -313,7 +314,7 @@ def extract_raw(
         "stated_confidence": [
             step.confidence if step.confidence is not None else 0.5 for step in steps
         ],
-        "hedging_score": [min(_count_matches(w, hedge_set) / 10.0, 1.0) for w in words],
+        "hedging_score": [min(count(hedge_set, w) / 10.0, 1.0) for w in words],
     }
 
 

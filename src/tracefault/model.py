@@ -18,6 +18,7 @@ lays them out:
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, MalformedJson, SchemaViolation
@@ -245,9 +246,46 @@ def _parse_trace_obj(obj: dict, path: str = "") -> ExecutionTrace:
     )
 
 
+# A ``\uD800`` to ``\uDFFF`` escape. Text decoded as UTF-8 holds no
+# surrogate code point, so an escape is the only way one gets into a file.
+_SURROGATE_ESCAPE_RE = re.compile(r"\\u[dD][89a-fA-F][0-9a-fA-F]{2}")
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+
+
+def _lone_surrogate_path(obj) -> str | None:
+    """The path of the first key or string in ``obj`` that holds a lone
+    surrogate, which no UTF-8 writer can encode. Decoding joins every valid
+    pair into one code point, so any surrogate left is lone. Iterative, so
+    that nesting ``json`` accepted cannot overflow the stack here."""
+    stack = [("", obj)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, str):
+            if _SURROGATE_RE.search(value):
+                return path or "top level"
+        elif isinstance(value, dict):
+            for key in value:
+                if _SURROGATE_RE.search(key):
+                    return f"{path or 'top level'}: key {key!r}"
+            stack.extend(
+                (f"{path}.{key}" if path else key, item)
+                for key, item in reversed(value.items())
+            )
+        elif isinstance(value, list):
+            stack.extend((f"{path}[{i}]", item) for i, item in reversed(list(enumerate(value))))
+    return None
+
+
 def load_json_object(data: bytes | str | dict) -> dict:
     """Decode UTF-8 JSON whose top level must be an object; an already
-    decoded object passes through."""
+    decoded object passes through.
+
+    Keys and strings holding a lone surrogate are rejected:
+    ``"\\ud800"`` is valid JSON, but no UTF-8 writer can encode it. One
+    regex search over the text finds every surrogate escape, and the
+    decoded object is walked only when it hits (a valid pair or an escaped
+    backslash also hits), so a clean file costs that one search.
+    """
     if isinstance(data, dict):
         return data
     if isinstance(data, bytes):
@@ -257,10 +295,17 @@ def load_json_object(data: bytes | str | dict) -> dict:
             raise MalformedJson(f"input is not valid UTF-8: {exc}") from None
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise MalformedJson("nesting too deep") from None
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past the interpreter's digit limit.
         raise MalformedJson(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaViolation("top level: expected JSON object")
+    if _SURROGATE_ESCAPE_RE.search(data):
+        path = _lone_surrogate_path(obj)
+        if path is not None:
+            raise SchemaViolation(f"{path}: lone surrogate in string")
     return obj
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from tracefault.baselines import FixtureAdapter
 from tracefault.benchgen import DOMAIN_TEMPLATES, _build_correct_steps, generate_benchmark
-from tracefault.evaluation import units_from_scenarios
+from tracefault.evaluation import unit_from_scenario
 from tracefault.model import ExecutionTrace
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -22,7 +22,7 @@ def seed42_benchmark():
 
 @pytest.fixture(scope="session")
 def units(seed42_benchmark):
-    return units_from_scenarios([g.scenario for g in seed42_benchmark])
+    return [unit_from_scenario(g.scenario) for g in seed42_benchmark]
 
 
 def bench_trace(n: int) -> ExecutionTrace:

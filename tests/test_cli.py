@@ -27,6 +27,32 @@ def test_analyze_malformed_json_exits_3_naming_the_file(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [("analyze", "nesting too deep"), ("evaluate", "domain: lone surrogate in string")],
+    ids=["deep-nesting", "lone-surrogate"],
+)
+def test_unwritable_json_exits_3_naming_the_file(
+    tmp_path, example1_bytes, capsys, command, message
+):
+    # Both used to escape as a traceback with exit 1: RecursionError from
+    # ``json.loads``, and UnicodeEncodeError when evaluate wrote the domain.
+    (tmp_path / "scenarios").mkdir()
+    path = tmp_path / "scenarios" / "example1.json"
+    if command == "analyze":
+        path.write_bytes(b"[" * 100_000)
+        argv = ["analyze", str(path)]
+    else:
+        domain = b'"domain": "software_development"'
+        path.write_bytes(example1_bytes.replace(domain, b'"domain": "\\ud800"'))
+        argv = ["evaluate", str(tmp_path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert message in err
+
+
 def test_analyze_non_object_exits_3(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[]")

@@ -1,6 +1,9 @@
 """Evaluation scores every weight vector from one feature table per trace."""
 
+import dataclasses
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -14,12 +17,12 @@ from tracefault.evaluation import (
     evaluate,
     render_report,
     run_checks,
-    units_from_blind,
-    units_from_scenarios,
+    unit_from_blind,
+    unit_from_scenario,
 )
 from tracefault.features import FeatureConfig, compute_features
 from tracefault.graph import backtrace, build_graph
-from tracefault.model import DOMAINS
+from tracefault.model import DOMAINS, parse_trace_blind, serialize_trace
 from tracefault.ranking import DEFAULT_MAX_DEPTH, WeightVector, feature_table, rank
 from tracefault.stats import hit_at_k
 from tracefault.weights import SWEEP_POSITION_VALUES, grid_search
@@ -179,11 +182,41 @@ def test_five_methods_share_one_bootstrap_call(sample, llm_adapter, monkeypatch)
 def test_blind_and_annotated_units_agree_on_deterministic_methods(seed42_benchmark):
     scenarios = [g.scenario for g in seed42_benchmark]
     methods = ("tracefault", "first", "last")
-    annotated = evaluate(units_from_scenarios(scenarios), methods=methods, bootstrap_b=10)
-    blind_units = units_from_blind(*make_blind(scenarios, "parity"))
+    annotated = evaluate(map(unit_from_scenario, scenarios), methods=methods, bootstrap_b=10)
+    traces, answers = make_blind(scenarios, "parity")
+    blind_units = (unit_from_blind(trace, answers) for trace in traces)
     blind = evaluate(blind_units, methods=methods, bootstrap_b=10)
     fields = ("n", "hit_at_1", "hit_at_3", "hit_at_5", "mrr")
     for method in methods:
         a, b = annotated["methods"][method], blind["methods"][method]
         assert {k: a[k] for k in fields} == {k: b[k] for k in fields}, method
     assert annotated["strata"] == blind["strata"]
+
+
+def test_evaluate_drops_each_trace_before_requesting_the_next(sample):
+    units = sample[:12]
+    refs = []
+    dead_before_next = []
+
+    def stream():
+        for unit in units:
+            if refs:
+                gc.collect()
+                dead_before_next.append(refs[-1]() is None)
+            # A fresh trace per unit, which nothing but the unit refers to.
+            fresh = dataclasses.replace(
+                unit, trace=parse_trace_blind(serialize_trace(unit.trace))
+            )
+            refs.append(weakref.ref(fresh.trace))
+            yield fresh
+            del fresh
+
+    methods = ("tracefault", "random", "first", "last")
+    streamed = evaluate(stream(), methods=methods, bootstrap_b=10, with_ablations=True)
+    assert dead_before_next == [True] * (len(units) - 1)
+    # One pass: every method scored every unit of the single pass.
+    assert len(refs) == streamed["scenario_count"] == len(units)
+    listed = evaluate(units, methods=methods, bootstrap_b=10, with_ablations=True)
+    streamed.pop("component_timings_ms")
+    listed.pop("component_timings_ms")
+    assert streamed == listed

@@ -32,7 +32,7 @@ from conftest import bench_trace, simulated_llm_fixture
 from tracefault.baselines import FixtureAdapter
 from tracefault.benchgen import generate_benchmark
 from tracefault.cli import VALIDATION_PER_DOMAIN, VALIDATION_SEED
-from tracefault.evaluation import METHODS, evaluate, render_report, units_from_scenarios
+from tracefault.evaluation import METHODS, evaluate, render_report, unit_from_scenario
 from tracefault.graph import build_graph
 from tracefault.model import DOMAINS, canonical_json_bytes
 from tracefault.ranking import rank, render_markdown
@@ -84,7 +84,7 @@ def seed42_evaluation_sha256(benchmark) -> str:
         completions[scenario_id] = "no idea"
     completions[spoiled[5]] = "99"  # no trace has 99 steps
     result = evaluate(
-        units_from_scenarios([g.scenario for g in benchmark]),
+        (unit_from_scenario(g.scenario) for g in benchmark),
         methods=METHODS,
         llm_adapter=FixtureAdapter(completions),
         with_ablations=True,

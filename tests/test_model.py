@@ -95,6 +95,47 @@ def test_malformed_json():
         parse_scenario(b"{not json")
     with pytest.raises(MalformedJson):
         parse_scenario(b"\xff\xfe")
+    # ``json.loads`` raises RecursionError and ValueError for these two.
+    with pytest.raises(MalformedJson, match="nesting too deep"):
+        parse_scenario(b"[" * 100_000)
+    with pytest.raises(MalformedJson, match="invalid JSON: Exceeds the limit"):
+        parse_scenario(b'{"scenario_id": ' + b"9" * 5000 + b"}")
+
+
+@pytest.mark.parametrize(
+    "mutate, path",
+    [
+        (lambda o: o.update(domain="\ud800"), "domain"),
+        (lambda o: o["steps"][3].update(output="ok \udfff"), "steps[3].output"),
+        (lambda o: o["agents"].append("\udc00"), "agents[4]"),
+        (
+            lambda o: o["ground_truth"].update(bug_description="\ude00\ud83d"),
+            "ground_truth.bug_description",
+        ),
+        (lambda o: o["steps"][0].update({"\ud800": 1}), "steps[0]: key '\\ud800'"),
+    ],
+    ids=["domain", "step-output", "agent", "reversed-pair", "key"],
+)
+def test_lone_surrogate_is_rejected_naming_its_field(mutate, path):
+    obj = minimal_scenario_obj()
+    mutate(obj)
+    # ``json.dumps`` writes each surrogate as a ``\uXXXX`` escape.
+    data = json.dumps(obj).encode()
+    with pytest.raises(SchemaViolation) as exc:
+        parse_scenario(data)
+    assert str(exc.value) == f"{path}: lone surrogate in string"
+
+
+@pytest.mark.parametrize(
+    "escape, text",
+    [("\\ud83d\\ude00", "\U0001f600"), ("\\uD83D\\uDE00", "\U0001f600"), ("\\\\ud800", "\\ud800")],
+    ids=["pair", "upper-case-pair", "escaped-backslash"],
+)
+def test_surrogate_pairs_and_escaped_backslashes_parse(escape, text):
+    obj = minimal_scenario_obj()
+    obj["steps"][2]["output"] = "@"
+    data = json.dumps(obj).replace('"@"', f'"{escape}"').encode()
+    assert parse_scenario(data).trace.step(3).output == text
 
 
 @pytest.mark.parametrize(
