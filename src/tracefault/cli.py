@@ -236,19 +236,15 @@ def cmd_evaluate(args) -> int:
         adapter = _parse_file(
             Path(args.llm_fixture), lambda data: FixtureAdapter(load_json_object(data))
         )
-    # Seeds and B left unset take the defaults of ``evaluate`` itself.
-    seeds = {
-        "eval_seed": args.eval_seed,
-        "bootstrap_b": args.bootstrap_b,
-        "bootstrap_seed": args.bootstrap_seed,
-    }
+    # An unset --eval-seed takes the default of ``evaluate`` itself.
+    eval_seed = {} if args.eval_seed is None else {"eval_seed": args.eval_seed}
     result = evaluate(
         units,
         methods=args.methods,
         weights=_load_weights(args.weights),
         config=_load_config(args.feature_config),
         max_depth=args.max_depth,
-        **{name: value for name, value in seeds.items() if value is not None},
+        **eval_seed,
         llm_adapter=adapter,
         with_ablations=args.ablations,
         with_sweep=args.sweep,
@@ -358,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--feature-config", default=None)
     p_ev.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH)
     p_ev.add_argument("--eval-seed", type=int, default=None)
-    p_ev.add_argument("--bootstrap-b", type=_positive_int, default=None)
-    p_ev.add_argument("--bootstrap-seed", type=int, default=None)
     p_ev.add_argument("--llm-fixture", default=None, help="replay fixture JSON")
     p_ev.add_argument("--ablations", action="store_true")
     p_ev.add_argument("--sweep", action="store_true")

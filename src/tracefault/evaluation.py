@@ -5,9 +5,9 @@ reduce to (trace, answer) pairs, the analyzer is always anchored at the
 trace's final step, and the answer is consulted only for scoring. Hit@k,
 MRR and the strata of every method that does not read the scenario id
 therefore match between the blind split of a benchmark and its annotated
-form. Two outputs still differ: the random baseline seeds by scenario id,
-which blinding renames, and the bootstrap intervals depend on the order of
-the units, which follows file names and so differs between the splits.
+form, and so do their Hit@1 intervals, which depend on the hit count alone.
+The random baseline is the only remaining parity break: it seeds by
+scenario id, which blinding renames.
 
 ``evaluate`` takes the units as any iterable and consumes it once, one unit
 at a time. It runs every requested method on the unit and reduces it to a
@@ -16,8 +16,8 @@ tracefault's layer timings and, only when the ablations or the sweep need
 it, the unit's ``FeatureTable``. No trace is kept past its record, so a lazy
 iterator of parsed files never holds more than one trace. Features are
 computed once per trace; the main method, the ablations and the sweep all
-score that table. Every output is a deterministic reduce over the records
-in input order.
+score that table. No output depends on the order of the units: counts,
+``math.fsum`` sums and sorted percentiles are the same in any order.
 
 Outputs are plain dicts shaped for ``metrics.json`` and ``significance.json``,
 plus the markdown rendering written to ``report.md``.
@@ -47,8 +47,6 @@ from .features import FeatureConfig
 from .model import ExecutionTrace, Scenario, parse_ground_truth
 from .ranking import DEFAULT_MAX_DEPTH, GROUP_ORDER, FeatureTable, WeightVector, rank
 from .stats import (
-    BOOTSTRAP_DEFAULT_B,
-    BOOTSTRAP_DEFAULT_SEED,
     bootstrap_ci,
     cohens_h,
     format_p_value,
@@ -192,8 +190,6 @@ def evaluate(
     config: FeatureConfig | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
     eval_seed: int = DEFAULT_EVAL_SEED,
-    bootstrap_b: int = BOOTSTRAP_DEFAULT_B,
-    bootstrap_seed: int = BOOTSTRAP_DEFAULT_SEED,
     llm_adapter=None,
     with_ablations: bool = False,
     with_sweep: bool = False,
@@ -248,12 +244,7 @@ def evaluate(
         raise EmptyBenchmark("evaluate over zero scenarios")
     ranks_of = dict(zip(methods, zip(*(record.ranks for record in records))))
 
-    # One call draws the resamples once and applies them to every method.
-    intervals = bootstrap_ci(
-        [[1 if r == 1 else 0 for r in ranks] for ranks in ranks_of.values()],
-        b=bootstrap_b,
-        seed=bootstrap_seed,
-    )
+    intervals = bootstrap_ci([[1 if r == 1 else 0 for r in ranks] for ranks in ranks_of.values()])
     metrics = {
         method: {**_accuracy(ranks), "hit_at_1_ci95": list(interval)}
         for (method, ranks), interval in zip(ranks_of.items(), intervals)

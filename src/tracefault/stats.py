@@ -1,24 +1,21 @@
 """Metrics and statistical tests for method comparison.
 
-Hit@k / mean reciprocal rank over per-scenario ranks, percentile bootstrap
-95% confidence intervals, McNemar's paired test with continuity correction,
-and Cohen's h effect size for proportions.
+Hit@k / mean reciprocal rank over per-scenario ranks, exact bootstrap 95%
+confidence intervals for Hit@1, McNemar's paired test with continuity
+correction, and Cohen's h effect size for proportions. Nothing here needs a
+third-party package.
 
-numpy is imported by ``bootstrap_ci`` only, whose pinned seed stream needs
-it, so commands that never bootstrap (``analyze``, ``learn-weights``) never
-load it.
-
-The bootstrap draws its resample indices as ``B`` successive
-``rng.integers(0, n, size=n)`` calls from ``numpy.random.default_rng(seed)``;
-this seed-stream contract is fixed so an independent resampler can reproduce
-the interval exactly. The contract holds per row of outcomes, and one call
-shares the stream among all its rows: every row is resampled with the same
-indices (the paired bootstrap), so each interval equals the one a call with
-that row alone returns. The draws are taken ``_BOOTSTRAP_CHUNK`` resamples
-at a time with ``size=(resamples, n)``, which yields the same stream.
-Percentiles use linear interpolation between order statistics: position
-``q * (B - 1)``, value ``lo + (hi - lo) * frac``. Every interval is a 95%
-one (``BOOTSTRAP_CONFIDENCE``), from the 2.5th to the 97.5th percentile.
+The Hit@1 interval is the ideal bootstrap, the limit of the percentile
+bootstrap as the number of resamples grows without bound (Efron &
+Tibshirani 1993). A resample of n outcomes of which h are hits holds
+exactly Binomial(n, h/n) hits, so no random draw is needed: the interval
+runs from the 2.5th to the 97.5th percentile of that binomial's mean,
+``min{k : P(X <= k) >= q} / n`` for q = 1/40 and 39/40. It is a pure
+function of (h, n), the same for any order of the outcomes, and anyone can
+recompute it exactly with integer counts of the n**n resamples. It always
+contains h/n, because the median of this binomial is its integer mean h.
+The probabilities are built from IEEE multiplications, divisions and sums
+alone, with no libm call, so every platform gives the same bits.
 """
 
 from __future__ import annotations
@@ -27,17 +24,8 @@ import math
 
 from .errors import DegenerateTable, EmptyBenchmark
 
-BOOTSTRAP_DEFAULT_B = 10_000
-BOOTSTRAP_DEFAULT_SEED = 12345
-BOOTSTRAP_CONFIDENCE = 0.95
-# Resamples drawn at a time: chunk x n int64 indices, plus chunk x n values
-# gathered per row of outcomes. At n = 550 (2-core x86_64, six fresh
-# processes each, median peak RSS) `evaluate --check` read 42.70, 42.85 and
-# 43.05 MB at 16, 32 and 64, against 42.79 MB for one call per method at 16;
-# `evaluate --methods tracefault --ablations --sweep` read 42.63, 42.76 and
-# 42.85 MB, against 42.60 MB. 32 and 64 cut the four-row draw from about 97
-# to 88 and 86 ms, too little for the added memory.
-_BOOTSTRAP_CHUNK = 16
+# Each tail of the 95% interval holds 1/40 of the resamples.
+_TAIL_SHARE = 40
 
 
 def hit_at_k(ranks, k: int) -> float:
@@ -53,7 +41,8 @@ def mrr(ranks) -> float:
     ranks = list(ranks)
     if not ranks:
         raise EmptyBenchmark("mrr over zero scenarios")
-    return sum((1.0 / r) if r is not None else 0.0 for r in ranks) / len(ranks)
+    # fsum rounds once, so the value does not depend on the order of the ranks.
+    return math.fsum((1.0 / r) if r is not None else 0.0 for r in ranks) / len(ranks)
 
 
 def percentile(sorted_values, q: float) -> float:
@@ -73,39 +62,71 @@ def percentile(sorted_values, q: float) -> float:
     return lo + (hi - lo) * frac
 
 
-def bootstrap_ci(
-    rows,
-    b: int = BOOTSTRAP_DEFAULT_B,
-    seed: int = BOOTSTRAP_DEFAULT_SEED,
-) -> list[tuple[float, float]]:
-    """Percentile bootstrap ``BOOTSTRAP_CONFIDENCE`` interval for the mean
-    of each row of outcomes.
+def bootstrap_ci(rows) -> list[tuple[float, float]]:
+    """Ideal-bootstrap 95% interval for the hit rate of each row of 0/1
+    outcomes.
 
-    Every row is resampled with the same indices, so each interval equals the
-    one a call with that row alone returns. Zero rows give no intervals.
+    Each interval depends on its row's hit count and length alone. Zero
+    rows give no intervals; rows of another length than the first, or
+    holding a value other than 0 or 1, raise ``ValueError``.
     """
-    if b < 1:
-        raise ValueError(f"bootstrap iterations must be >= 1, got {b}")
-    import numpy as np
-
-    values = [np.asarray(list(row), dtype=np.float64) for row in rows]
-    if not values:
+    rows = [list(row) for row in rows]
+    if not rows:
         return []
-    n = values[0].size
-    if any(v.size != n for v in values):
-        raise ValueError(f"bootstrap rows differ in length: {[v.size for v in values]}")
+    n = len(rows[0])
+    if any(len(row) != n for row in rows):
+        raise ValueError(f"bootstrap rows differ in length: {[len(row) for row in rows]}")
     if n == 0:
         raise EmptyBenchmark("bootstrap over zero outcomes")
-    rng = np.random.default_rng(seed)
-    means = np.empty((len(values), b), dtype=np.float64)
-    for start in range(0, b, _BOOTSTRAP_CHUNK):
-        stop = min(start + _BOOTSTRAP_CHUNK, b)
-        idx = rng.integers(0, n, size=(stop - start, n))
-        for row_means, v in zip(means, values):
-            row_means[start:stop] = v[idx].sum(axis=1) / n
-    means.sort(axis=1)
-    alpha = 1.0 - BOOTSTRAP_CONFIDENCE
-    return [(percentile(m, alpha / 2.0), percentile(m, 1.0 - alpha / 2.0)) for m in means]
+    intervals = []
+    for row in rows:
+        h = row.count(1)
+        if h + row.count(0) != n:
+            raise ValueError("bootstrap rows must hold only 0/1 outcomes")
+        lo, hi = _binomial_tail_counts(h, n)
+        intervals.append((lo / n, hi / n))
+    return intervals
+
+
+def _binomial_tail_counts(h: int, n: int) -> tuple[int, int]:
+    """Least k with P(X <= k) >= 1/40, and least k with P(X <= k) >= 39/40,
+    for X ~ Binomial(n, h/n).
+
+    The probabilities are kept relative to the mode, w_h = 1, and filled in
+    by the ratio w_{k+1} / w_k = (n - k) h / ((k + 1) (n - h)) in both
+    directions until they underflow. Each end is found from the tail it
+    bounds, summed from its far end, smallest weights first: lo where the
+    lower tail reaches 1/40 of the total, hi where the upper tail above it
+    stays within 1/40.
+    """
+    up: list[float] = []
+    w, k = 1.0, h
+    while k < n:
+        w *= (n - k) * h / ((k + 1) * (n - h))
+        if w == 0.0:
+            break
+        up.append(w)
+        k += 1
+    down: list[float] = []
+    w, k = 1.0, h
+    while k > 0:
+        w *= k * (n - h) / ((n - k + 1) * h)
+        if w == 0.0:
+            break
+        down.append(w)
+        k -= 1
+    weights = down[::-1] + [1.0] + up
+    first = h - len(down)
+    tail = math.fsum(weights) / _TAIL_SHARE
+    lo, below = first, weights[0]
+    while below < tail:
+        lo += 1
+        below += weights[lo - first]
+    hi, above = first + len(weights) - 1, 0.0
+    while above + weights[hi - first] <= tail:
+        above += weights[hi - first]
+        hi -= 1
+    return lo, hi
 
 
 def mcnemar(n01: int, n10: int) -> tuple[float, float]:

@@ -92,7 +92,10 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         (["analyze", "t.json", "--max-depth", "-2"], "--max-depth: must be >= 1"),
         (["evaluate", "b", "--max-depth", "0"], "--max-depth: must be >= 1"),
         (["learn-weights", "v", "--max-depth", "-1"], "--max-depth: must be >= 1"),
-        (["evaluate", "b", "--bootstrap-b", "0"], "--bootstrap-b: must be >= 1"),
+        (
+            ["evaluate", "b", "--bootstrap-b", "10", "--bootstrap-seed", "9"],
+            "unrecognized arguments: --bootstrap-b 10 --bootstrap-seed 9",
+        ),
         (["evaluate", "b", "--methods", "bogus"], "--methods: unknown method bogus"),
         (["evaluate", "b", "--methods", ","], "--methods: no method given"),
         (["evaluate", "b", "--methods", "last,last"], "--methods: method given twice"),
@@ -104,7 +107,7 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         "analyze-max-depth-negative",
         "evaluate-max-depth-0",
         "learn-weights-max-depth-negative",
-        "bootstrap-b-0",
+        "bootstrap-b-removed",
         "unknown-method",
         "no-method",
         "repeated-method",
@@ -122,7 +125,7 @@ def test_bad_flag_values_exit_2_with_a_message(capsys, argv, message):
 
 
 def test_unset_evaluate_flags_take_the_evaluate_defaults(monkeypatch, tmp_path, example1_bytes):
-    from tracefault import evaluation, stats
+    from tracefault import evaluation
 
     (tmp_path / "scenarios").mkdir()
     (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
@@ -137,19 +140,20 @@ def test_unset_evaluate_flags_take_the_evaluate_defaults(monkeypatch, tmp_path, 
 
     monkeypatch.setattr(evaluation, "evaluate", stop)
     assert main(["evaluate", str(tmp_path)]) == 3
-    assert main(["evaluate", str(tmp_path), "--eval-seed", "5", "--bootstrap-b", "7",
-                 "--bootstrap-seed", "9", "--methods", "last, first"]) == 3
-    defaults, given = ({k: call[k] for k in ("methods", "eval_seed", "bootstrap_b",
-                                             "bootstrap_seed", "max_depth")} for call in seen)
+    assert main(["evaluate", str(tmp_path), "--eval-seed", "5", "--methods", "last, first"]) == 3
+    defaults, given = (
+        {k: call[k] for k in ("methods", "eval_seed", "max_depth")} for call in seen
+    )
     assert defaults == {
         "methods": ("tracefault", "random", "first", "last"),
         "eval_seed": evaluation.DEFAULT_EVAL_SEED,
-        "bootstrap_b": stats.BOOTSTRAP_DEFAULT_B,
-        "bootstrap_seed": stats.BOOTSTRAP_DEFAULT_SEED,
         "max_depth": ranking.DEFAULT_MAX_DEPTH,
     }
-    assert given == {"methods": ("last", "first"), "eval_seed": 5, "bootstrap_b": 7,
-                     "bootstrap_seed": 9, "max_depth": ranking.DEFAULT_MAX_DEPTH}
+    assert given == {
+        "methods": ("last", "first"),
+        "eval_seed": 5,
+        "max_depth": ranking.DEFAULT_MAX_DEPTH,
+    }
 
 
 def test_evaluate_rejects_removed_jobs_flag(tmp_path):
@@ -447,6 +451,17 @@ def test_evaluate_never_loads_benchgen(tmp_path, example1_bytes):
     assert (out_dir / "metrics.json").exists()
     assert "tracefault.evaluation" in modules
     assert "tracefault.benchgen" not in modules
+
+
+def test_evaluate_never_loads_numpy(tmp_path, example1_bytes):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
+    out_dir = tmp_path / "out"
+    modules = modules_after_main(["evaluate", str(tmp_path), "--out-dir", str(out_dir)])
+    metrics = json.loads((out_dir / "metrics.json").read_text())
+    assert all("hit_at_1_ci95" in block for block in metrics["methods"].values())
+    assert "tracefault.stats" in modules
+    assert "numpy" not in modules
 
 
 def test_learn_weights_never_loads_numpy(tmp_path, example1_bytes, example2_bytes):

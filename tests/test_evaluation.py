@@ -85,9 +85,7 @@ def test_table_scores_equal_fresh_rank_for_every_weight_vector(sample):
 
 
 def test_evaluate_reweighting_matches_per_weight_rank(sample):
-    result = evaluate(
-        sample, methods=("tracefault",), bootstrap_b=10, with_ablations=True, with_sweep=True
-    )
+    result = evaluate(sample, methods=("tracefault",), with_ablations=True, with_sweep=True)
 
     def hit1(weights):
         return hit_at_k([rank(u.trace, weights=weights).rank_of(u.root_cause) for u in sample], 1)
@@ -104,9 +102,7 @@ def test_evaluate_reweighting_matches_per_weight_rank(sample):
 
 
 def test_features_computed_once_per_unit_under_ablations_and_sweep(sample, feature_calls):
-    evaluate(
-        sample, methods=("tracefault",), bootstrap_b=10, with_ablations=True, with_sweep=True
-    )
+    evaluate(sample, methods=("tracefault",), with_ablations=True, with_sweep=True)
     assert sorted(feature_calls) == sorted(u.trace.scenario_id for u in sample)
 
 
@@ -128,9 +124,7 @@ def test_config_fingerprint_once_per_evaluation_and_never_in_grid_search(sample,
         return original(self)
 
     monkeypatch.setattr(FeatureConfig, "fingerprint", counted)
-    result = evaluate(
-        sample, methods=("tracefault",), bootstrap_b=10, with_ablations=True, with_sweep=True
-    )
+    result = evaluate(sample, methods=("tracefault",), with_ablations=True, with_sweep=True)
     assert len(calls) == 1
     assert result["config_fingerprint"] == original(FeatureConfig())
     calls.clear()
@@ -146,7 +140,7 @@ def test_baseline_agreeing_everywhere_is_reported_not_raised(units):
         return main == last
 
     agreeing = list(itertools.islice(filter(agrees, units), 5))
-    result = evaluate(agreeing, methods=("tracefault", "last"), bootstrap_b=10)
+    result = evaluate(agreeing, methods=("tracefault", "last"))
     sig = result["significance"]["tracefault_vs_last"]
     assert (sig["n01"], sig["n10"], sig["n00"] + sig["n11"]) == (0, 0, 5)
     assert (sig["chi2"], sig["p_value"], sig["p_display"]) == (0.0, 1.0, "no discordant pairs")
@@ -155,7 +149,7 @@ def test_baseline_agreeing_everywhere_is_reported_not_raised(units):
 
 
 def test_llm_errors_cover_every_miss(units, llm_adapter):
-    result = evaluate(units, methods=("llm",), llm_adapter=llm_adapter, bootstrap_b=10)
+    result = evaluate(units, methods=("llm",), llm_adapter=llm_adapter)
     misses = sum(llm_adapter.completions[u.trace.scenario_id] != str(u.root_cause) for u in units)
     assert result["llm_fallbacks"] == 0
     assert sum(result["llm_error_analysis"].values()) == misses
@@ -172,25 +166,33 @@ def test_five_methods_share_one_bootstrap_call(sample, llm_adapter, monkeypatch)
         return original(rows, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "bootstrap_ci", counted)
-    result = evaluate(sample, methods=METHODS, llm_adapter=llm_adapter, bootstrap_b=50)
+    result = evaluate(sample, methods=METHODS, llm_adapter=llm_adapter)
     assert calls == [len(METHODS)]
     for method in METHODS:
-        alone = evaluate(sample, methods=(method,), llm_adapter=llm_adapter, bootstrap_b=50)
+        alone = evaluate(sample, methods=(method,), llm_adapter=llm_adapter)
         assert alone["methods"][method] == result["methods"][method], method
 
 
 def test_blind_and_annotated_units_agree_on_deterministic_methods(seed42_benchmark):
     scenarios = [g.scenario for g in seed42_benchmark]
     methods = ("tracefault", "first", "last")
-    annotated = evaluate(map(unit_from_scenario, scenarios), methods=methods, bootstrap_b=10)
+    annotated = evaluate(map(unit_from_scenario, scenarios), methods=methods)
     traces, answers = make_blind(scenarios, "parity")
     blind_units = (unit_from_blind(trace, answers) for trace in traces)
-    blind = evaluate(blind_units, methods=methods, bootstrap_b=10)
-    fields = ("n", "hit_at_1", "hit_at_3", "hit_at_5", "mrr")
+    blind = evaluate(blind_units, methods=methods)
+    fields = ("n", "hit_at_1", "hit_at_3", "hit_at_5", "mrr", "hit_at_1_ci95")
     for method in methods:
         a, b = annotated["methods"][method], blind["methods"][method]
         assert {k: a[k] for k in fields} == {k: b[k] for k in fields}, method
     assert annotated["strata"] == blind["strata"]
+
+
+def test_metrics_do_not_depend_on_the_order_of_the_units(units):
+    methods = ("tracefault", "random", "first", "last")
+    forward = evaluate(units, methods=methods)
+    backward = evaluate(reversed(units), methods=methods)
+    assert forward["methods"] == backward["methods"]
+    assert forward["strata"] == backward["strata"]
 
 
 def test_evaluate_drops_each_trace_before_requesting_the_next(sample):
@@ -212,11 +214,11 @@ def test_evaluate_drops_each_trace_before_requesting_the_next(sample):
             del fresh
 
     methods = ("tracefault", "random", "first", "last")
-    streamed = evaluate(stream(), methods=methods, bootstrap_b=10, with_ablations=True)
+    streamed = evaluate(stream(), methods=methods, with_ablations=True)
     assert dead_before_next == [True] * (len(units) - 1)
     # One pass: every method scored every unit of the single pass.
     assert len(refs) == streamed["scenario_count"] == len(units)
-    listed = evaluate(units, methods=methods, bootstrap_b=10, with_ablations=True)
+    listed = evaluate(units, methods=methods, with_ablations=True)
     streamed.pop("component_timings_ms")
     listed.pop("component_timings_ms")
     assert streamed == listed

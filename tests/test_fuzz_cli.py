@@ -100,7 +100,7 @@ def test_cli_exits_0_or_3_naming_the_file(changes):
         path.write_bytes(mutated(changes))
         for argv in (
             ["analyze", str(path), "--out", str(bench / "analysis.json")],
-            ["evaluate", str(bench), "--bootstrap-b", "10", "--out-dir", str(bench / "out")],
+            ["evaluate", str(bench), "--out-dir", str(bench / "out")],
         ):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

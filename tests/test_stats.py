@@ -1,9 +1,12 @@
 """Metrics and statistical tests against independent oracles."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2 as scipy_chi2
 
 from tracefault.errors import DegenerateTable, EmptyBenchmark
@@ -53,81 +56,112 @@ def test_bootstrap_of_zero_rows_is_empty():
     assert bootstrap_ci([]) == []
 
 
-def oracle_bootstrap(values, b, seed):
-    """Independent brute-force percentile bootstrap (95%) on the same seed stream."""
-    rng = np.random.default_rng(seed)
-    n = len(values)
-    means = []
-    for _ in range(b):
-        idx = rng.integers(0, n, size=n)
-        means.append(sum(values[i] for i in idx) / n)
-    means.sort()
+def exact_interval(h: int, n: int, start: int | None = None) -> tuple[float, float]:
+    """The ideal-bootstrap interval from exact integer counts of the n**n
+    resamples of h hits in n: C(n, j) h**j (n - h)**(n - j) of them hold j
+    hits. Each end is the least j at which the resamples holding at most j
+    hits reach 1/40, then 39/40, of all.
 
-    def pick(q):
-        pos = q * (len(means) - 1)
-        lo = math.floor(pos)
-        hi = min(lo + 1, len(means) - 1)
-        frac = pos - lo
-        return means[lo] + (means[hi] - means[lo]) * frac
+    The walk over j begins ``start`` (default: ten standard deviations and
+    ten hits) below h. Counts grow up to h, so the resamples holding fewer
+    than ``start`` hits number at most ``start`` times the count at
+    ``start``; an end that this slack leaves undecided is found again by a
+    walk from zero, which has none.
+    """
+    if h in (0, n):
+        return h / n, h / n
+    if start is None:
+        start = max(0, h - 10 * math.isqrt(h * (n - h) // n) - 10)
+    g = math.gcd(h, n)  # every count shares the factor g**n
+    hits, misses, total = h // g, (n - h) // g, (n // g) ** n
+    term = math.comb(n, start) * hits**start * misses ** (n - start)
+    slack = start * term
+    upper, j, ends = term + slack, start, []
+    for share in (1, 39):
+        least = -(-share * total // 40)
+        while upper < least:
+            term = term * ((n - j) * hits) // ((j + 1) * misses)
+            j += 1
+            upper += term
+        if upper - slack < least:
+            return exact_interval(h, n, start=0)
+        ends.append(j / n)
+    return ends[0], ends[1]
 
-    alpha = 1.0 - 0.95
-    return pick(alpha / 2.0), pick(1.0 - alpha / 2.0)
+
+def test_bootstrap_matches_independent_resampler_exactly():
+    # Every one of the n**n resamples, each drawn once: the percentile
+    # bootstrap with nothing left to chance. Each end is the least mean that
+    # 1/40 (39/40) of the resamples do not exceed.
+    for n in range(1, 7):
+        for h in range(n + 1):
+            row = [1] * h + [0] * (n - h)
+            means = sorted(
+                sum(map(row.__getitem__, idx)) / n
+                for idx in itertools.product(range(n), repeat=n)
+            )
+            lower = means[-(-len(means) // 40) - 1]
+            upper = means[-(-39 * len(means) // 40) - 1]
+            assert bootstrap_ci([row]) == [(lower, upper)], row
 
 
 @pytest.mark.parametrize(
-    "values", [[1, 1, 0, 1], [0, 1], [1, 0, 0, 0, 1, 1, 1, 0, 1, 0], [0.25, 0.5, 1.0]]
+    "sizes", [range(1, 121), [550], [551], [1000], [2000]], ids=lambda s: f"n{s[0]}-{s[-1]}"
 )
-def test_bootstrap_matches_independent_resampler_exactly(values):
-    ours = bootstrap_ci([values], b=10_000, seed=12345)
-    theirs = oracle_bootstrap(values, b=10_000, seed=12345)
-    assert ours == [theirs]  # exact float equality: shared seed stream contract
+def test_bootstrap_matches_exact_integer_counts(sizes):
+    for n in sizes:
+        for h in range(n + 1):
+            assert bootstrap_ci([[1] * h + [0] * (n - h)]) == [exact_interval(h, n)], (h, n)
 
 
-# Rows of one call share n; the dyadic fractions sum exactly in any order, so
-# numpy's pairwise sums equal the oracle's left-to-right ones.
-SHARED_ROWS = {
-    1: [[0], [1], [0.75]],
-    8: [
-        [0] * 8,
-        [1] * 8,
-        [1, 0, 1, 1, 0, 1, 1, 1],
-        [0.5, 0.25, 0.125, 1.0, 0.0, 0.75, 0.375, 0.0625],
-    ],
-}
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 20_000).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_bootstrap_contains_the_rate_and_is_monotone_in_hits(case):
+    n, h = case
+    rows = [[1] * h + [0] * (n - h), [1] * (h + 1) + [0] * (n - h - 1)]
+    (lo, hi), (next_lo, next_hi) = bootstrap_ci(rows)
+    assert 0.0 <= lo <= h / n <= hi <= 1.0
+    assert lo <= next_lo and hi <= next_hi
 
 
-@pytest.mark.parametrize("b", [1, 37, 10_001])
-@pytest.mark.parametrize("n", sorted(SHARED_ROWS))
-def test_every_row_of_one_call_matches_the_resampler_alone(n, b):
-    rows = SHARED_ROWS[n]
-    ours = bootstrap_ci(rows, b=b, seed=2024)
-    assert ours == [oracle_bootstrap(row, b=b, seed=2024) for row in rows]
+def test_bootstrap_agrees_with_a_monte_carlo_bootstrap():
+    # 100,000 resamples of 550 outcomes, drawn as indices as a Monte Carlo
+    # bootstrap does; its percentiles may miss the exact ones by one hit.
+    n, b = 550, 100_000
+    rng = np.random.default_rng(2026)
+    for h in (521, 275, 17):
+        row = np.zeros(n, dtype=np.int64)
+        row[rng.choice(n, size=h, replace=False)] = 1
+        chunks = (rng.integers(0, n, size=(5_000, n)) for _ in range(b // 5_000))
+        hits = np.concatenate([row[idx].sum(axis=1) for idx in chunks])
+        mc = np.quantile(hits, [1 / 40, 39 / 40], method="inverted_cdf")
+        [(lo, hi)] = bootstrap_ci([row.tolist()])
+        assert abs(mc[0] - round(lo * n)) <= 1 and abs(mc[1] - round(hi * n)) <= 1, h
 
 
 def test_rows_of_one_call_equal_their_single_row_calls():
-    # Arbitrary floats: the sums round, and each row must still get the
-    # reduction a call with that row alone makes.
     rng = np.random.default_rng(3)
-    rows = rng.normal(size=(3, 41)).tolist()
-    assert bootstrap_ci(rows, b=99) == [bootstrap_ci([row], b=99)[0] for row in rows]
+    rows = (rng.random(size=(4, 41)) < [[0.1], [0.5], [0.9], [1.0]]).tolist()
+    assert bootstrap_ci(rows) == [bootstrap_ci([row])[0] for row in rows]
 
 
 def test_bootstrap_degenerate_all_ones():
-    assert bootstrap_ci([[1, 1, 1, 1]], b=500) == [(1.0, 1.0)]
+    assert bootstrap_ci([[1, 1, 1, 1]]) == [(1.0, 1.0)]
 
 
 def test_bootstrap_rejects_ragged_rows_and_bad_parameters():
     with pytest.raises(ValueError, match="differ in length"):
         bootstrap_ci([[1, 0], [1]])
-    with pytest.raises(ValueError, match="iterations"):
-        bootstrap_ci([[1, 0]], b=0)
+    for value in (0.5, 2, -1, math.nan, "1", None):
+        with pytest.raises(ValueError, match="only 0/1 outcomes"):
+            bootstrap_ci([[1, 0], [0, value]])
 
 
 def test_bootstrap_interval_width_near_reference():
     # Bernoulli(0.949) sample of 550: the 95% interval should be ~3.6pp wide.
     rng = np.random.default_rng(99)
     outcomes = (rng.random(550) < 0.949).astype(int).tolist()
-    [(lo, hi)] = bootstrap_ci([outcomes], b=10_000)
+    [(lo, hi)] = bootstrap_ci([outcomes])
     width = hi - lo
     assert 0.026 <= width <= 0.046
 
