@@ -92,6 +92,7 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         (["analyze", "t.json", "--max-depth", "-2"], "--max-depth: must be >= 1"),
         (["evaluate", "b", "--max-depth", "0"], "--max-depth: must be >= 1"),
         (["learn-weights", "v", "--max-depth", "-1"], "--max-depth: must be >= 1"),
+        (["evaluate", "b", "--bootstrap-b", "0"], "unrecognized arguments: --bootstrap-b 0"),
         (
             ["evaluate", "b", "--bootstrap-b", "10", "--bootstrap-seed", "9"],
             "unrecognized arguments: --bootstrap-b 10 --bootstrap-seed 9",
@@ -107,6 +108,7 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         "analyze-max-depth-negative",
         "evaluate-max-depth-0",
         "learn-weights-max-depth-negative",
+        "bootstrap-b-0",
         "bootstrap-b-removed",
         "unknown-method",
         "no-method",

@@ -89,20 +89,31 @@ def exact_interval(h: int, n: int, start: int | None = None) -> tuple[float, flo
     return ends[0], ends[1]
 
 
-def test_bootstrap_matches_independent_resampler_exactly():
+# Every row of n <= 6 outcomes, hits last: n**n resamples at most.
+SMALL_ROWS = [[0] * (n - h) + [1] * h for n in range(1, 7) for h in range(n + 1)]
+
+
+@pytest.mark.parametrize("values", SMALL_ROWS)
+def test_bootstrap_matches_independent_resampler_exactly(values):
     # Every one of the n**n resamples, each drawn once: the percentile
     # bootstrap with nothing left to chance. Each end is the least mean that
     # 1/40 (39/40) of the resamples do not exceed.
-    for n in range(1, 7):
-        for h in range(n + 1):
-            row = [1] * h + [0] * (n - h)
-            means = sorted(
-                sum(map(row.__getitem__, idx)) / n
-                for idx in itertools.product(range(n), repeat=n)
-            )
-            lower = means[-(-len(means) // 40) - 1]
-            upper = means[-(-39 * len(means) // 40) - 1]
-            assert bootstrap_ci([row]) == [(lower, upper)], row
+    n = len(values)
+    means = sorted(
+        sum(map(values.__getitem__, idx)) / n for idx in itertools.product(range(n), repeat=n)
+    )
+    lower = means[-(-len(means) // 40) - 1]
+    upper = means[-(-39 * len(means) // 40) - 1]
+    assert bootstrap_ci([values]) == [(lower, upper)]
+
+
+@pytest.mark.parametrize("count", [1, 37, 10_001])
+@pytest.mark.parametrize("n", [1, 8])
+def test_every_row_of_one_call_matches_the_resampler_alone(n, count):
+    # One call of ``count`` rows that cycle through all 2**n arrangements of
+    # n outcomes: each row gets the exact interval of its own hit count.
+    rows = [[(i >> bit) & 1 for bit in range(n)] for i in range(count)]
+    assert bootstrap_ci(rows) == [exact_interval(sum(row), n) for row in rows]
 
 
 @pytest.mark.parametrize(
