@@ -5,18 +5,21 @@ rank 1 first, so Hit@k and reciprocal ranks are defined for all of them;
 the rank of step ``v`` is ``ordering.index(v) + 1``. Like the analyzer,
 every method that needs an error node takes the trace's final step:
 
-* random       -- seeded uniform shuffle, deterministic per (scenario, seed).
+* random       -- seeded uniform shuffle, deterministic per content key
+  (``model.content_key``), so a trace and its blind copy get one ordering.
 * first_node   -- step 1 first, remainder in step order.
 * last_node    -- the step immediately before the final one first, walking
   backward; the final (error) step ranks last.
-* llm          -- prompt a completion adapter, such as the fixture replay
+* llm          -- ask a completion adapter, such as the fixture replay
   below, for the root-cause step number; the named step is promoted to
   rank 1 and the rest follow in step order. A completion that names no
   step of the trace falls back to the last-node ordering, and the method
   says whether it fell back.
 
-Fixture files are JSON maps from scenario id to completion string, which
-makes CI runs replayable without credentials or network access.
+Fixture files are JSON maps from ``model.content_key`` to completion
+string, which makes CI runs replayable without credentials or network
+access. The key leaves the scenario id out, so one fixture serves a
+benchmark's annotated and blind splits; no prompt is built.
 """
 
 from __future__ import annotations
@@ -25,31 +28,14 @@ import random
 import re
 
 from .errors import AdapterFailure, SchemaViolation, UnparseableCompletion
-from .model import ExecutionTrace
+from .model import ExecutionTrace, content_key
 
-PROMPT_TEMPLATE = """You are an expert debugger analyzing a multi-agent system
-execution trace. The system encountered an error.
-Your task is to identify the ROOT CAUSE - the earliest
-step where something went wrong that led to the final error.
-## Execution Trace:
-{trace_content}
-## Error Description:
-The system failed at step {error_step}: {error_description}
-## Instructions:
-1. Analyze the execution trace carefully
-2. Identify causal relationships between steps
-3. Find the EARLIEST step that caused the error
-4. Consider: logic errors, miscommunication,
-   data issues, missing validation
-## Output Format:
-Respond with ONLY the step number, e.g., "3"
-Root cause step:
-"""
+RANDOM_SEED = 17
 
 
-def random_baseline(trace: ExecutionTrace, seed: int) -> tuple[int, ...]:
-    """Uniform random permutation, deterministic per (scenario id, seed)."""
-    rng = random.Random(f"random|{seed}|{trace.scenario_id}")
+def random_baseline(trace: ExecutionTrace) -> tuple[int, ...]:
+    """Uniform random permutation, deterministic per content key."""
+    rng = random.Random(f"random|{RANDOM_SEED}|{content_key(trace)}")
     ordering = [s.step_id for s in trace.steps]
     rng.shuffle(ordering)
     return tuple(ordering)
@@ -66,23 +52,6 @@ def last_node_baseline(trace: ExecutionTrace) -> tuple[int, ...]:
     return (*range(n - 1, 0, -1), n)
 
 
-def render_trace(trace: ExecutionTrace) -> str:
-    lines = []
-    for step in trace.steps:
-        lines.append(f"Step {step.step_id} [{step.agent}]: {step.input}")
-        lines.append(f"  -> {step.output}")
-    return "\n".join(lines)
-
-
-def build_prompt(trace: ExecutionTrace, error_node: int) -> str:
-    error_step = trace.step(error_node)
-    return PROMPT_TEMPLATE.format(
-        trace_content=render_trace(trace),
-        error_step=error_node,
-        error_description=error_step.output,
-    )
-
-
 _LEADING_INT_RE = re.compile(r"\s*(\d+)\b")
 
 
@@ -97,23 +66,25 @@ def parse_completion(completion: str) -> int:
 
 
 class FixtureAdapter:
-    """Replay adapter: completions recorded per scenario id."""
+    """Replay adapter: completions recorded per ``model.content_key``."""
 
     def __init__(self, completions: dict[str, str]):
-        for scenario_id, completion in completions.items():
+        for key, completion in completions.items():
             if not isinstance(completion, str):
                 raise SchemaViolation(
-                    f"fixture completion for {scenario_id!r}: expected string, "
+                    f"fixture completion for {key!r}: expected string, "
                     f"got {type(completion).__name__}"
                 )
         self.completions = dict(completions)
 
-    def complete(self, trace: ExecutionTrace, prompt: str) -> str:
+    def complete(self, trace: ExecutionTrace) -> str:
+        key = content_key(trace)
         try:
-            return self.completions[trace.scenario_id]
+            return self.completions[key]
         except KeyError:
             raise AdapterFailure(
-                f"fixture has no completion for scenario {trace.scenario_id!r}"
+                f"fixture has no completion for scenario {trace.scenario_id!r} "
+                f"(content key {key})"
             ) from None
 
 
@@ -127,7 +98,7 @@ def llm_baseline(trace: ExecutionTrace, adapter) -> tuple[tuple[int, ...], bool]
     """
     n = len(trace)
     try:
-        choice = parse_completion(adapter.complete(trace, build_prompt(trace, n)))
+        choice = parse_completion(adapter.complete(trace))
     except UnparseableCompletion:
         choice = 0  # no step: falls back below
     if not 1 <= choice <= n:

@@ -29,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .errors import SchemaViolation, TracefaultError
+from .errors import AdapterFailure, SchemaViolation, TracefaultError
 from .features import FeatureConfig
 from .graph import build_graph
 from .model import (
@@ -236,19 +236,19 @@ def cmd_evaluate(args) -> int:
         adapter = _parse_file(
             Path(args.llm_fixture), lambda data: FixtureAdapter(load_json_object(data))
         )
-    # An unset --eval-seed takes the default of ``evaluate`` itself.
-    eval_seed = {} if args.eval_seed is None else {"eval_seed": args.eval_seed}
-    result = evaluate(
-        units,
-        methods=args.methods,
-        weights=_load_weights(args.weights),
-        config=_load_config(args.feature_config),
-        max_depth=args.max_depth,
-        **eval_seed,
-        llm_adapter=adapter,
-        with_ablations=args.ablations,
-        with_sweep=args.sweep,
-    )
+    try:
+        result = evaluate(
+            units,
+            methods=args.methods,
+            weights=_load_weights(args.weights),
+            config=_load_config(args.feature_config),
+            max_depth=args.max_depth,
+            llm_adapter=adapter,
+            with_ablations=args.ablations,
+            with_sweep=args.sweep,
+        )
+    except AdapterFailure as exc:  # only the fixture lookup raises it
+        raise AdapterFailure(f"{args.llm_fixture}: {exc}") from None
     out_dir = Path(args.out_dir)
     significance = result.get("significance", {})
     _write_json(out_dir / "metrics.json", result)
@@ -353,8 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--weights", default=None)
     p_ev.add_argument("--feature-config", default=None)
     p_ev.add_argument("--max-depth", type=_positive_int, default=DEFAULT_MAX_DEPTH)
-    p_ev.add_argument("--eval-seed", type=int, default=None)
-    p_ev.add_argument("--llm-fixture", default=None, help="replay fixture JSON")
+    p_ev.add_argument(
+        "--llm-fixture",
+        default=None,
+        help="replay fixture JSON: completions keyed by each trace's content key",
+    )
     p_ev.add_argument("--ablations", action="store_true")
     p_ev.add_argument("--sweep", action="store_true")
     p_ev.add_argument("--check", action="store_true", help="exit 1 on threshold failure")

@@ -46,7 +46,7 @@ class TemplateExhausted(TracefaultError):
 
 
 class AdapterFailure(TracefaultError):
-    """The external completion adapter failed (process or I/O error)."""
+    """The completion adapter could not answer, e.g. a fixture had no entry."""
 
 
 class UnparseableCompletion(TracefaultError):

@@ -2,12 +2,12 @@
 
 Annotated and blind benchmarks evaluate through the same code path: both
 reduce to (trace, answer) pairs, the analyzer is always anchored at the
-trace's final step, and the answer is consulted only for scoring. Hit@k,
-MRR and the strata of every method that does not read the scenario id
-therefore match between the blind split of a benchmark and its annotated
-form, and so do their Hit@1 intervals, which depend on the hit count alone.
-The random baseline is the only remaining parity break: it seeds by
-scenario id, which blinding renames.
+trace's final step, and the answer is consulted only for scoring. No
+method reads the scenario id, which blinding renames: ``random`` seeds by
+``model.content_key`` and an ``llm`` fixture is keyed by it. So every
+method's Hit@k, MRR, Hit@1 interval and McNemar table, the strata and the
+llm error analysis match between the blind split of a benchmark and its
+annotated form.
 
 ``evaluate`` takes the units as any iterable and consumes it once, one unit
 at a time. It runs every requested method on the unit and reduces it to a
@@ -60,8 +60,6 @@ from .weights import hit_at_1_by_weights, sweep_rows
 MAIN_METHOD = "tracefault"
 HEURISTIC_METHODS = ("random", "first", "last")
 METHODS = (MAIN_METHOD, *HEURISTIC_METHODS, "llm")
-
-DEFAULT_EVAL_SEED = 17
 
 LENGTH_BUCKETS = ((8, 9), (10, 11), (12, 13), (14, 15))
 
@@ -189,7 +187,6 @@ def evaluate(
     weights: WeightVector | None = None,
     config: FeatureConfig | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    eval_seed: int = DEFAULT_EVAL_SEED,
     llm_adapter=None,
     with_ablations: bool = False,
     with_sweep: bool = False,
@@ -202,8 +199,10 @@ def evaluate(
     """
     weights = weights or WeightVector()
     config = config or FeatureConfig()
+    # Looked up per call, not at import, so that a wrapper bound over a
+    # baseline (as perfbench's tracer binds one) is the one called.
     orderings = {
-        "random": lambda trace: random_baseline(trace, eval_seed),
+        "random": random_baseline,
         "first": first_node_baseline,
         "last": last_node_baseline,
     }
@@ -305,36 +304,34 @@ def evaluate(
         result["llm_error_analysis"] = dict(sorted(misses.items()))
         result["llm_fallbacks"] = sum(record.llm_fell_back for record in records)
 
-    if with_ablations and MAIN_METHOD in ranks_of:
-        result["ablations"] = ablation_table(records)
-        result["ablations"]["full"] = {
-            "groups": list(GROUP_ORDER),
-            "hit_at_1": metrics[MAIN_METHOD]["hit_at_1"],
-        }
-    if with_sweep and MAIN_METHOD in ranks_of:
-        result["position_weight_sweep"] = [
-            {"w_position": w, "hit_at_1": h} for w, h in sweep_over_units(records)
-        ]
+    if keep_tables and MAIN_METHOD in ranks_of:
+        tables = [record.table for record in records]
+        roots = [record.root_cause for record in records]
+        if with_ablations:
+            result["ablations"] = ablation_table(tables, roots)
+            result["ablations"]["full"] = {
+                "groups": list(GROUP_ORDER),
+                "hit_at_1": metrics[MAIN_METHOD]["hit_at_1"],
+            }
+        if with_sweep:
+            result["position_weight_sweep"] = sweep_over_units(tables, roots)
     return result
 
 
-def _tables_and_roots(records) -> tuple[list[FeatureTable], list[int]]:
-    return [record.table for record in records], [record.root_cause for record in records]
-
-
-def sweep_over_units(records):
-    """Hit@1 per position weight, scored from the records' feature tables."""
-    return sweep_rows(*_tables_and_roots(records))
+def sweep_over_units(tables: list[FeatureTable], roots: list[int]) -> list[dict]:
+    """Hit@1 per position weight, scored from the units' feature tables
+    (perfbench's tracer times this and ``ablation_table``)."""
+    return [{"w_position": w, "hit_at_1": h} for w, h in sweep_rows(tables, roots)]
 
 
 GROUP_LETTERS = dict(zip(GROUP_ORDER, "PSCFE"))
 
 
-def ablation_table(records) -> dict:
+def ablation_table(tables: list[FeatureTable], roots: list[int]) -> dict:
     """Hit@1 for feature-group subsets (weights renormalized to sum one),
-    scored from the records' feature tables."""
+    scored from the units' feature tables."""
     points = [WeightVector.restricted(combo) for combo in ABLATION_COMBOS]
-    hits = hit_at_1_by_weights(*_tables_and_roots(records), points)
+    hits = hit_at_1_by_weights(tables, roots, points)
     return {
         "+".join(GROUP_LETTERS[g] for g in combo): {"groups": list(combo), "hit_at_1": hit}
         for combo, hit in zip(ABLATION_COMBOS, hits)

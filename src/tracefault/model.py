@@ -13,10 +13,14 @@ lays them out:
 * ``blind/<id>.json``     -- trace only, with an anonymized ``scenario_id``;
   any ``ground_truth`` key is rejected so analyzers cannot leak labels.
 * ``answers.json``        -- separate map from anonymized id to ground truth.
+
+``content_key`` names a trace by its content alone, so a trace and its blind
+copy share it; the methods that must not see the scenario id key by it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -382,6 +386,18 @@ def trace_to_obj(trace: ExecutionTrace) -> dict:
         "agents": list(trace.agents),
         "steps": [_step_to_obj(s) for s in trace.steps],
     }
+
+
+def content_key(trace: ExecutionTrace) -> str:
+    """SHA-256 hex digest of the trace's content, its scenario id left out.
+
+    Blinding renames the id and nothing else, so a trace and its blind copy
+    share the key. Compact ``json.dumps``, not ``canonical_json_bytes``: the
+    indented form takes json's slower pure-Python encoder.
+    """
+    obj = trace_to_obj(trace)
+    obj["scenario_id"] = ""
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def canonical_json_bytes(obj: object) -> bytes:

@@ -8,7 +8,7 @@ import pytest
 from tracefault.baselines import FixtureAdapter
 from tracefault.benchgen import DOMAIN_TEMPLATES, _build_correct_steps, generate_benchmark
 from tracefault.evaluation import unit_from_scenario
-from tracefault.model import ExecutionTrace
+from tracefault.model import ExecutionTrace, content_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,7 +39,8 @@ def bench_trace(n: int) -> ExecutionTrace:
 
 def simulated_llm_fixture(benchmark, accuracy=0.66, seed=7) -> dict[str, str]:
     """Deterministic stand-in completions with a controlled accuracy profile:
-    mostly right, otherwise biased toward naming the error node."""
+    mostly right, otherwise biased toward naming the error node. Keyed by
+    content key, as a fixture file is; each draw is seeded by scenario id."""
     fixture = {}
     for generated in benchmark:
         gt = generated.scenario.ground_truth
@@ -54,7 +55,7 @@ def simulated_llm_fixture(benchmark, accuracy=0.66, seed=7) -> dict[str, str]:
             answer = min(gt.error_node_id, gt.root_cause_node_id + 1)
         else:
             answer = rng.randrange(1, len(trace) + 1)
-        fixture[trace.scenario_id] = str(answer)
+        fixture[content_key(trace)] = str(answer)
     return fixture
 
 

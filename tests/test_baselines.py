@@ -1,25 +1,21 @@
 """Baseline prediction contracts and the completion adapter protocol."""
 
 import json
-import os
-import stat
 from dataclasses import replace
 
 import pytest
 
 from tracefault.baselines import (
     FixtureAdapter,
-    build_prompt,
     classify_llm_error,
     first_node_baseline,
     last_node_baseline,
     llm_baseline,
     parse_completion,
     random_baseline,
-    render_trace,
 )
 from tracefault.errors import AdapterFailure, UnparseableCompletion
-from tracefault.model import load_json_object, parse_scenario
+from tracefault.model import content_key, load_json_object, parse_scenario
 
 
 @pytest.fixture()
@@ -28,12 +24,11 @@ def trace(example1_bytes):
 
 
 def test_random_baseline_is_seeded_permutation(trace):
-    one = random_baseline(trace, seed=5)
-    two = random_baseline(trace, seed=5)
-    other = random_baseline(trace, seed=6)
-    assert one == two
+    one = random_baseline(trace)
+    assert random_baseline(trace) == one
     assert sorted(one) == [1, 2, 3, 4, 5]
-    assert one != other or len(trace) == 1
+    # Seeded by content, not by id: a renamed (blind) copy draws the same.
+    assert random_baseline(replace(trace, scenario_id="00c3d517ff6b")) == one
 
 
 def test_random_single_node_trace(trace):
@@ -45,7 +40,7 @@ def test_random_single_node_trace(trace):
         agents=(trace.steps[0].agent,),
         steps=trace.steps[:1],
     )
-    assert random_baseline(single, seed=0) == (1,)
+    assert random_baseline(single) == (1,)
 
 
 def test_first_node_baseline(trace):
@@ -63,21 +58,11 @@ def test_last_node_degenerate_error_at_first_step(trace):
 
 def test_predictions_are_full_permutations(trace):
     for ordering in (
-        random_baseline(trace, 1),
+        random_baseline(trace),
         first_node_baseline(trace),
         last_node_baseline(trace),
     ):
         assert sorted(ordering) == [1, 2, 3, 4, 5]
-
-
-def test_prompt_contains_trace_and_error(trace):
-    prompt = build_prompt(trace, 5)
-    assert "Step 3 [Coder]" in prompt
-    assert "failed at step 5" in prompt
-    assert "SyntaxError: invalid syntax at line 2" in prompt
-    assert prompt.rstrip().endswith("Root cause step:")
-    rendered = render_trace(trace)
-    assert rendered.count("Step ") == 5
 
 
 def test_parse_completion_strict():
@@ -88,20 +73,23 @@ def test_parse_completion_strict():
 
 
 def test_fixture_adapter_roundtrip(trace):
-    adapter = FixtureAdapter({trace.scenario_id: "3"})
+    adapter = FixtureAdapter({content_key(trace): "3"})
     pred = llm_baseline(trace, adapter)
     assert pred[0][0] == 3
     assert pred[0] == (3, 1, 2, 4, 5)
     assert not pred[1]
+    assert llm_baseline(replace(trace, scenario_id="00c3d517ff6b"), adapter) == pred
 
 
 def test_fixture_adapter_missing_scenario(trace):
-    with pytest.raises(AdapterFailure):
-        llm_baseline(trace, FixtureAdapter({}))
+    with pytest.raises(AdapterFailure) as exc:
+        llm_baseline(trace, FixtureAdapter({trace.scenario_id: "3"}))
+    assert "'sof_example1'" in str(exc.value)
+    assert content_key(trace) in str(exc.value)
 
 
 def test_unparseable_lenient_falls_back_to_last(trace):
-    adapter = FixtureAdapter({trace.scenario_id: "no idea"})
+    adapter = FixtureAdapter({content_key(trace): "no idea"})
     pred = llm_baseline(trace, adapter)
     assert pred[1]
     assert pred[0] == last_node_baseline(trace)
@@ -109,13 +97,13 @@ def test_unparseable_lenient_falls_back_to_last(trace):
 
 def test_out_of_range_step_number(trace):
     for completion in ("42", "0", "6"):
-        adapter = FixtureAdapter({trace.scenario_id: completion})
+        adapter = FixtureAdapter({content_key(trace): completion})
         assert llm_baseline(trace, adapter) == (last_node_baseline(trace), True)
 
 
 def test_fixture_adapter_from_file(tmp_path, trace):
     path = tmp_path / "fixture.json"
-    path.write_text(json.dumps({trace.scenario_id: "2"}))
+    path.write_text(json.dumps({content_key(trace): "2"}))
     adapter = FixtureAdapter(load_json_object(path.read_bytes()))
     assert llm_baseline(trace, adapter)[0][0] == 2
 

@@ -16,6 +16,7 @@ from conftest import FIXTURES
 from tracefault import cli, ranking
 from tracefault.cli import main
 from tracefault.errors import TracefaultError
+from tracefault.model import content_key, parse_scenario
 
 
 def test_analyze_malformed_json_exits_3_naming_the_file(tmp_path, capsys):
@@ -102,6 +103,7 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         (["evaluate", "b", "--methods", "last,last"], "--methods: method given twice"),
         (["analyze", "t.json", "--max-depth", "abc"], "--max-depth: not an integer: 'abc'"),
         (["bench"], "invalid choice: 'bench'"),
+        (["evaluate", "b", "--eval-seed", "5"], "unrecognized arguments: --eval-seed 5"),
     ],
     ids=[
         "analyze-max-depth-0",
@@ -115,6 +117,7 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         "repeated-method",
         "max-depth-not-int",
         "bench-removed",
+        "eval-seed-removed",
     ],
 )
 def test_bad_flag_values_exit_2_with_a_message(capsys, argv, message):
@@ -142,20 +145,13 @@ def test_unset_evaluate_flags_take_the_evaluate_defaults(monkeypatch, tmp_path, 
 
     monkeypatch.setattr(evaluation, "evaluate", stop)
     assert main(["evaluate", str(tmp_path)]) == 3
-    assert main(["evaluate", str(tmp_path), "--eval-seed", "5", "--methods", "last, first"]) == 3
-    defaults, given = (
-        {k: call[k] for k in ("methods", "eval_seed", "max_depth")} for call in seen
-    )
+    assert main(["evaluate", str(tmp_path), "--methods", "last, first"]) == 3
+    defaults, given = ({k: call[k] for k in ("methods", "max_depth")} for call in seen)
     assert defaults == {
         "methods": ("tracefault", "random", "first", "last"),
-        "eval_seed": evaluation.DEFAULT_EVAL_SEED,
         "max_depth": ranking.DEFAULT_MAX_DEPTH,
     }
-    assert given == {
-        "methods": ("last", "first"),
-        "eval_seed": 5,
-        "max_depth": ranking.DEFAULT_MAX_DEPTH,
-    }
+    assert given == {"methods": ("last", "first"), "max_depth": ranking.DEFAULT_MAX_DEPTH}
 
 
 def test_evaluate_rejects_removed_jobs_flag(tmp_path):
@@ -396,6 +392,23 @@ def test_evaluate_malformed_llm_fixture_exits_3_naming_the_file(
     err = capsys.readouterr().err
     assert str(fixture) in err
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_id_keyed_llm_fixture_exits_3_naming_the_file_and_key(
+    tmp_path, example1_bytes, capsys
+):
+    # A fixture keyed by scenario id, the format before content keys.
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text('{"sof_example1": "3"}')
+    argv = ["evaluate", str(tmp_path), "--methods", "tracefault,llm", "--llm-fixture", str(fixture)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    key = content_key(parse_scenario(example1_bytes).trace)
+    assert f"error: {fixture}: fixture has no completion for scenario 'sof_example1'" in err
+    assert key in err
     assert "Traceback" not in err
 
 

@@ -9,7 +9,8 @@ import pytest
 
 import tracefault.evaluation as evaluation
 import tracefault.ranking as ranking
-from tracefault.baselines import last_node_baseline
+from conftest import simulated_llm_fixture
+from tracefault.baselines import FixtureAdapter, last_node_baseline
 from tracefault.benchgen import generate_benchmark, make_blind
 from tracefault.evaluation import (
     ABLATION_COMBOS,
@@ -22,7 +23,7 @@ from tracefault.evaluation import (
 )
 from tracefault.features import FeatureConfig, compute_features
 from tracefault.graph import backtrace, build_graph
-from tracefault.model import DOMAINS, parse_trace_blind, serialize_trace
+from tracefault.model import DOMAINS, content_key, parse_trace_blind, serialize_trace
 from tracefault.ranking import DEFAULT_MAX_DEPTH, WeightVector, feature_table, rank
 from tracefault.stats import hit_at_k
 from tracefault.weights import SWEEP_POSITION_VALUES, grid_search
@@ -150,7 +151,8 @@ def test_baseline_agreeing_everywhere_is_reported_not_raised(units):
 
 def test_llm_errors_cover_every_miss(units, llm_adapter):
     result = evaluate(units, methods=("llm",), llm_adapter=llm_adapter)
-    misses = sum(llm_adapter.completions[u.trace.scenario_id] != str(u.root_cause) for u in units)
+    completions = llm_adapter.completions
+    misses = sum(completions[content_key(u.trace)] != str(u.root_cause) for u in units)
     assert result["llm_fallbacks"] == 0
     assert sum(result["llm_error_analysis"].values()) == misses
     assert result["methods"]["llm"]["hit_at_1"] == (len(units) - misses) / len(units)
@@ -174,17 +176,21 @@ def test_five_methods_share_one_bootstrap_call(sample, llm_adapter, monkeypatch)
 
 
 def test_blind_and_annotated_units_agree_on_deterministic_methods(seed42_benchmark):
-    scenarios = [g.scenario for g in seed42_benchmark]
-    methods = ("tracefault", "first", "last")
-    annotated = evaluate(map(unit_from_scenario, scenarios), methods=methods)
-    traces, answers = make_blind(scenarios, "parity")
-    blind_units = (unit_from_blind(trace, answers) for trace in traces)
-    blind = evaluate(blind_units, methods=methods)
-    fields = ("n", "hit_at_1", "hit_at_3", "hit_at_5", "mrr", "hit_at_1_ci95")
-    for method in methods:
-        a, b = annotated["methods"][method], blind["methods"][method]
-        assert {k: a[k] for k in fields} == {k: b[k] for k in fields}, method
-    assert annotated["strata"] == blind["strata"]
+    # Every method, random and llm included, at two benchmark seeds; the
+    # seeds loop inside so that the test keeps its one id.
+    for seed, benchmark in ((42, seed42_benchmark), (7, generate_benchmark(seed=7))):
+        scenarios = [g.scenario for g in benchmark]
+        # One fixture, keyed by content, serves both splits.
+        adapter = FixtureAdapter(simulated_llm_fixture(benchmark))
+        annotated = evaluate(
+            map(unit_from_scenario, scenarios), methods=METHODS, llm_adapter=adapter
+        )
+        traces, answers = make_blind(scenarios, "parity")
+        blind_units = (unit_from_blind(trace, answers) for trace in traces)
+        blind = evaluate(blind_units, methods=METHODS, llm_adapter=adapter)
+        assert annotated["methods"].keys() == set(METHODS)
+        for block in ("methods", "strata", "significance", "llm_error_analysis", "llm_fallbacks"):
+            assert annotated[block] == blind[block], (seed, block)
 
 
 def test_metrics_do_not_depend_on_the_order_of_the_units(units):

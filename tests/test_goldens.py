@@ -15,8 +15,9 @@ whole report, the canonical JSON of ``to_obj()`` followed by the
 It also holds ``evaluation_sha256``, a digest of one seed-42 ``evaluate`` over
 every method with ablations and the sweep: the canonical JSON of its result
 without ``component_timings_ms``, followed by its ``render_report`` text. The
-``llm`` method replays the simulated fixture of ``conftest``, with six
-completions spoiled so that its fallback path is pinned too.
+``llm`` method replays the simulated fixture of ``conftest``, with the
+completions of the first six scenario ids spoiled so that its fallback path
+is pinned too.
 
 After an intended change of results, rewrite the file with
 ``PYTHONPATH=src python tests/test_goldens.py`` and say why in the change.
@@ -34,7 +35,7 @@ from tracefault.benchgen import generate_benchmark
 from tracefault.cli import VALIDATION_PER_DOMAIN, VALIDATION_SEED
 from tracefault.evaluation import METHODS, evaluate, render_report, unit_from_scenario
 from tracefault.graph import build_graph
-from tracefault.model import DOMAINS, canonical_json_bytes
+from tracefault.model import DOMAINS, canonical_json_bytes, content_key
 from tracefault.ranking import rank, render_markdown
 
 GOLDEN = Path(__file__).parent / "goldens" / "seed42_rankings.json.gz"
@@ -79,10 +80,10 @@ def seed42_rankings() -> dict:
 
 def seed42_evaluation_sha256(benchmark) -> str:
     completions = simulated_llm_fixture(benchmark)
-    spoiled = sorted(completions)
-    for scenario_id in spoiled[:5]:
-        completions[scenario_id] = "no idea"
-    completions[spoiled[5]] = "99"  # no trace has 99 steps
+    spoiled = sorted((g.trace for g in benchmark), key=lambda trace: trace.scenario_id)
+    for trace in spoiled[:5]:
+        completions[content_key(trace)] = "no idea"
+    completions[content_key(spoiled[5])] = "99"  # no trace has 99 steps
     result = evaluate(
         (unit_from_scenario(g.scenario) for g in benchmark),
         methods=METHODS,

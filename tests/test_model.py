@@ -1,6 +1,8 @@
 """Schema parsing, invariants, and canonical serialization."""
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +13,7 @@ from tracefault.model import (
     GroundTruth,
     Scenario,
     Step,
+    content_key,
     parse_scenario,
     parse_trace,
     parse_trace_blind,
@@ -309,3 +312,45 @@ def test_parse_trace_decodes_json_once(monkeypatch, example1_bytes, annotated):
     monkeypatch.setattr(model.json, "loads", counting_loads)
     assert parse_trace(data) == scenario.trace
     assert len(calls) == 1
+
+
+STEP_CHANGES = {
+    "agent": "Planner",
+    "action_type": "review",
+    "input": "Add edge case handling",
+    "output": "if nums == []:",
+    "timestamp": "2026-01-05T10:02:01Z",
+    "confidence": 0.5,
+    "produces": (),
+    "consumes": ("calc_requirements",),
+}
+
+
+def test_content_key_is_a_sha256_hex_digest_blind_to_the_scenario_id(example1_bytes):
+    trace = parse_scenario(example1_bytes).trace
+    key = content_key(trace)
+    assert re.fullmatch("[0-9a-f]{64}", key)
+    assert content_key(replace(trace, scenario_id="00c3d517ff6b")) == key
+    assert content_key(parse_trace_blind(serialize_trace(trace))) == key
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda t: replace(t, domain="data_analysis"),
+        lambda t: replace(t, agents=tuple(reversed(t.agents))),
+    ]
+    + [
+        # A step id is fixed by its position, so it cannot change alone.
+        lambda t, field=field, value=value: replace(
+            t, steps=(*t.steps[:2], replace(t.steps[2], **{field: value}), *t.steps[3:])
+        )
+        for field, value in STEP_CHANGES.items()
+    ],
+    ids=["domain", "agents", *(f"step-{field}" for field in STEP_CHANGES)],
+)
+def test_content_key_changes_with_any_content(example1_bytes, change):
+    trace = parse_scenario(example1_bytes).trace
+    changed = change(trace)
+    assert changed != trace
+    assert content_key(changed) != content_key(trace)
