@@ -391,9 +391,10 @@ def trace_to_obj(trace: ExecutionTrace) -> dict:
 def content_key(trace: ExecutionTrace) -> str:
     """SHA-256 hex digest of the trace's content, its scenario id left out.
 
-    Blinding renames the id and nothing else, so a trace and its blind copy
-    share the key. Compact ``json.dumps``, not ``canonical_json_bytes``: the
-    indented form takes json's slower pure-Python encoder.
+    Blinding renames only the id, so a trace and its blind copy share the
+    key. The encoding is part of the key: changing it redraws ``random`` and
+    orphans every fixture file. Compact ``json.dumps`` keeps json's C
+    encoder, which the indent of ``canonical_json_bytes`` turns off.
     """
     obj = trace_to_obj(trace)
     obj["scenario_id"] = ""
