@@ -1,6 +1,7 @@
 """CLI exit codes: 3 for unreadable input (naming the file), 2 for usage errors,
 plus the subcommands' outputs and the modules they load."""
 
+import hashlib
 import inspect
 import json
 import math
@@ -489,3 +490,46 @@ def test_learn_weights_never_loads_numpy(tmp_path, example1_bytes, example2_byte
     assert json.loads(out.read_text())["evaluated_points"] > 0
     assert "tracefault.weights" in modules
     assert "numpy" not in modules
+
+
+# SHA-256 of the weights.json that ``learn-weights`` writes from the
+# validation split of ``generate --seed <seed>``.
+LEARNED_WEIGHTS_SHA256 = {
+    42: "2a37d258e15608f99c7ad8dd632fbea5550519faf2da13c7b7ec25c05ac359fd",
+    7: "4879169993f3931b5c900e6ca8385c34da6fe51c26017dc365c64883b0551566",
+    1: "a69a12411a088311ebf14d8e46829f76e3ac276f342ed42ea9a4dcdaeae57f7f",
+}
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """``generated(seed)``: the directory ``generate --seed seed`` wrote,
+    run once per seed and module."""
+    dirs = {}
+
+    def at(seed: int) -> Path:
+        if seed not in dirs:
+            dirs[seed] = tmp_path_factory.mktemp(f"seed{seed}")
+            assert main(["generate", "--seed", str(seed), "--out", str(dirs[seed])]) == 0
+        return dirs[seed]
+
+    return at
+
+
+@pytest.mark.parametrize("seed", sorted(LEARNED_WEIGHTS_SHA256))
+def test_learn_weights_output_is_pinned(generated, tmp_path, seed):
+    out = tmp_path / "weights.json"
+    assert main(["learn-weights", str(generated(seed) / "validation"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LEARNED_WEIGHTS_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(LEARNED_WEIGHTS_SHA256))
+def test_generated_errors_manifest_at_the_final_step(generated, seed):
+    # Evaluation and learn-weights anchor at the final step; on generated
+    # data that is the annotated error node.
+    for split in ("scenarios", "validation"):
+        paths = sorted((generated(seed) / split).glob("*.json"))
+        assert paths, split
+        for path in paths:
+            scenario = parse_scenario(path.read_bytes())
+            assert scenario.ground_truth.error_node_id == len(scenario.trace), path.name
