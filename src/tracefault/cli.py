@@ -6,11 +6,12 @@ benchmark), ``learn-weights`` (grid search) and ``blind`` (anonymized split).
 All outputs are written atomically (temp file then rename) and no subcommand
 mutates its inputs, so reruns are idempotent.
 
-``evaluate`` streams the benchmark: it parses each scenario file (on the
-blind split, each blind file, joined to ``answers.json``, which is read
-first) only when the evaluation reaches it, and keeps no trace past that
-file's record. A bad file still exits 3 naming it, after the files before
-it have been ranked; nothing is written until every file has been read.
+``evaluate`` and ``learn-weights`` stream their split as ``Scenario``s: each
+file (on the blind split, each blind file, joined to ``answers.json``, which
+is read first) is parsed only when the run reaches it, and no trace is kept
+past that file's record or feature table. A bad file still exits 3 naming
+it, after the files before it have been ranked; nothing is written until
+every file has been read.
 
 Exit codes: 0 success, 1 failed ``--check`` thresholds, 2 usage errors,
 3 input/output or schema errors.
@@ -42,7 +43,7 @@ from .model import (
     serialize_scenario,
     serialize_trace,
 )
-from .ranking import DEFAULT_MAX_DEPTH, WeightVector, rank, render_markdown
+from .ranking import DEFAULT_MAX_DEPTH, WeightVector, feature_table, rank, render_markdown
 
 VALIDATION_SEED = 2024
 VALIDATION_PER_DOMAIN = 5
@@ -168,8 +169,10 @@ def _scenario_files(directory: Path) -> list[Path]:
     return files
 
 
-def _read_scenarios(directory: Path):
-    return [_parse_file(path, parse_scenario) for path in _scenario_files(directory)]
+def _scenarios(directory: Path):
+    """The directory's scenario files, parsed lazily in sorted order (the
+    listing is eager, so an empty directory fails at the call)."""
+    return (_parse_file(path, parse_scenario) for path in _scenario_files(directory))
 
 
 def cmd_analyze(args) -> int:
@@ -201,16 +204,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .baselines import FixtureAdapter
-    from .evaluation import (
-        evaluate,
-        render_report,
-        run_checks,
-        unit_from_blind,
-        unit_from_scenario,
-    )
+    from .evaluation import evaluate, render_report, run_checks, scenario_from_blind
 
-    # Lazy units: ``evaluate`` parses each file only when it reaches it and
-    # drops the trace once the file's record is made.
+    # Lazy scenarios: ``evaluate`` parses each file only when it reaches it
+    # and drops the trace once the file's record is made.
     bench = Path(args.benchmark)
     if args.blind:
         answers_path = bench / "answers.json"
@@ -221,15 +218,12 @@ def cmd_evaluate(args) -> int:
         if not blind_files:
             raise TracefaultError(f"no blind traces in {blind_dir}")
         answers = _parse_file(answers_path, load_json_object)
-        units = (
-            _naming(answers_path, unit_from_blind, _parse_file(p, parse_trace_blind), answers)
+        scenarios = (
+            _naming(answers_path, scenario_from_blind, _parse_file(p, parse_trace_blind), answers)
             for p in blind_files
         )
     else:
-        units = (
-            unit_from_scenario(_parse_file(p, parse_scenario))
-            for p in _scenario_files(bench / "scenarios")
-        )
+        scenarios = _scenarios(bench / "scenarios")
 
     adapter = None
     if args.llm_fixture:
@@ -238,7 +232,7 @@ def cmd_evaluate(args) -> int:
         )
     try:
         result = evaluate(
-            units,
+            scenarios,
             methods=args.methods,
             weights=_load_weights(args.weights),
             config=_load_config(args.feature_config),
@@ -273,12 +267,14 @@ def cmd_evaluate(args) -> int:
 def cmd_learn_weights(args) -> int:
     from .weights import grid_search, weights_report
 
-    scenarios = _read_scenarios(Path(args.validation))
-    best, table = grid_search(
-        scenarios,
-        config=_load_config(args.feature_config),
-        max_depth=args.max_depth,
-    )
+    # One table per file, anchored at the final step as ``evaluate`` anchors
+    # it; no trace is kept past its table.
+    config = _load_config(args.feature_config)
+    tables, roots = [], []
+    for scenario in _scenarios(Path(args.validation)):
+        tables.append(feature_table(scenario.trace, config, args.max_depth))
+        roots.append(scenario.ground_truth.root_cause_node_id)
+    best, table = grid_search(tables, roots)
     report = weights_report(best, table)
     _write_json(Path(args.out), report)
     print(f"best weights {best.as_dict()} -> {args.out}")
@@ -288,7 +284,7 @@ def cmd_learn_weights(args) -> int:
 def cmd_blind(args) -> int:
     bench = Path(args.benchmark)
     out = bench if args.out_dir is None else Path(args.out_dir)
-    count = _write_blind(out, _read_scenarios(bench / "scenarios"), args.salt)
+    count = _write_blind(out, _scenarios(bench / "scenarios"), args.salt)
     print(f"blinded {count} scenarios -> {out}")
     return 0
 

@@ -1,23 +1,25 @@
 """Evaluation harness: metrics, significance, stratification, timing.
 
 Annotated and blind benchmarks evaluate through the same code path: both
-reduce to (trace, answer) pairs, the analyzer is always anchored at the
-trace's final step, and the answer is consulted only for scoring. No
-method reads the scenario id, which blinding renames: ``random`` seeds by
+reduce to ``Scenario``s (a blind trace joined to its answer-key entry by
+``scenario_from_blind``), the analyzer is always anchored at the trace's
+final step, and the ground truth is consulted only for scoring. No method
+reads the scenario id, which blinding renames: ``random`` seeds by
 ``model.content_key`` and an ``llm`` fixture is keyed by it. So every
 method's Hit@k, MRR, Hit@1 interval and McNemar table, the strata and the
 llm error analysis match between the blind split of a benchmark and its
 annotated form.
 
-``evaluate`` takes the units as any iterable and consumes it once, one unit
-at a time. It runs every requested method on the unit and reduces it to a
-``UnitRecord``: the strata keys, the root's rank under each method,
-tracefault's layer timings and, only when the ablations or the sweep need
-it, the unit's ``FeatureTable``. No trace is kept past its record, so a lazy
-iterator of parsed files never holds more than one trace. Features are
-computed once per trace; the main method, the ablations and the sweep all
-score that table. No output depends on the order of the units: counts,
-``math.fsum`` sums and sorted percentiles are the same in any order.
+``evaluate`` takes the scenarios as any iterable and consumes it once, one
+scenario at a time. It runs every requested method on the scenario and
+reduces it to one ``ScenarioRecord``: the strata keys, the root's rank under
+each method, tracefault's layer timings and, only when the ablations or the
+sweep need it, the scenario's ``FeatureTable``. No trace is kept past its
+record, so a lazy iterator of parsed files never holds more than one trace.
+Features are computed once per trace; the main method, the ablations and
+the sweep all score that table. No output depends on the order of the
+scenarios: counts, ``math.fsum`` sums and sorted percentiles are the same in
+any order.
 
 Outputs are plain dicts shaped for ``metrics.json`` and ``significance.json``,
 plus the markdown rendering written to ``report.md``.
@@ -89,17 +91,6 @@ CHECK_THRESHOLDS = {
 }
 
 
-@dataclass(frozen=True)
-class EvalUnit:
-    """One trace plus the answer used for scoring (never for analysis)."""
-
-    trace: ExecutionTrace
-    root_cause: int
-    error_node: int
-    bug_type: str
-    bucket: str
-
-
 def _bucket_of(root: int) -> str:
     if root <= 3:
         return "early"
@@ -108,18 +99,7 @@ def _bucket_of(root: int) -> str:
     return "late"
 
 
-def unit_from_scenario(scenario: Scenario) -> EvalUnit:
-    gt = scenario.ground_truth
-    return EvalUnit(
-        trace=scenario.trace,
-        root_cause=gt.root_cause_node_id,
-        error_node=gt.error_node_id,
-        bug_type=gt.bug_type,
-        bucket=_bucket_of(gt.root_cause_node_id),
-    )
-
-
-def unit_from_blind(trace: ExecutionTrace, answers: dict) -> EvalUnit:
+def scenario_from_blind(trace: ExecutionTrace, answers: dict) -> Scenario:
     """Join one blind trace to its answer-key entry by anonymized id.
 
     The entry passes the checks of an annotated scenario's ground truth
@@ -132,16 +112,16 @@ def unit_from_blind(trace: ExecutionTrace, answers: dict) -> EvalUnit:
     try:
         if not isinstance(answer, dict):
             raise SchemaViolation(f"expected object, got {type(answer).__name__}")
-        return unit_from_scenario(Scenario(trace, parse_ground_truth(answer)))
+        return Scenario(trace, parse_ground_truth(answer))
     except TracefaultError as exc:
         raise type(exc)(f"answer key entry {trace.scenario_id!r}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
-class UnitRecord:
-    """What an evaluation keeps of one unit once its trace is dropped.
+class ScenarioRecord:
+    """What an evaluation keeps of one scenario once its trace is dropped.
 
-    ``strata`` holds the unit's key in each of ``STRATA``; ``ranks`` the
+    ``strata`` holds the scenario's key in each of ``STRATA``; ``ranks`` the
     root's rank under each evaluated method, in the order the methods were
     given. ``timings_ms`` is set when the main method ran, and ``table``
     only when the ablations or the sweep rescore it. The llm fields say
@@ -182,7 +162,7 @@ def _length_bucket(n: int) -> str:
 
 
 def evaluate(
-    units: Iterable[EvalUnit],
+    scenarios: Iterable[Scenario],
     methods=("tracefault", "random", "first", "last"),
     weights: WeightVector | None = None,
     config: FeatureConfig | None = None,
@@ -193,9 +173,9 @@ def evaluate(
 ) -> dict:
     """Run every requested method over the benchmark and aggregate.
 
-    ``units`` may be any iterable, a lazy one included: it is consumed
-    once, and each unit is reduced to its ``UnitRecord`` before the next
-    one is requested, so no trace outlives its record.
+    ``scenarios`` may be any iterable, a lazy one included: it is consumed
+    once, and each scenario is reduced to its ``ScenarioRecord`` before the
+    next one is requested, so no trace outlives its record.
     """
     weights = weights or WeightVector()
     config = config or FeatureConfig()
@@ -215,8 +195,9 @@ def evaluate(
 
     # Every method is anchored at the final step; answers are consulted only
     # for scoring, which keeps blind and annotated runs identical.
-    def record_of(unit: EvalUnit) -> UnitRecord:
-        trace, root = unit.trace, unit.root_cause
+    def record_of(scenario: Scenario) -> ScenarioRecord:
+        trace, truth = scenario.trace, scenario.ground_truth
+        root = truth.root_cause_node_id
         ranks: list[int | None] = []
         timings = table = llm_error = None
         fell_back = False
@@ -230,15 +211,15 @@ def evaluate(
                 ordering, fell_back = llm_baseline(trace, llm_adapter)
                 ranks.append(ordering.index(root) + 1)
                 if ordering[0] != root:
-                    llm_error = classify_llm_error(ordering[0], root, unit.error_node)
+                    llm_error = classify_llm_error(ordering[0], root, truth.error_node_id)
             else:
                 ranks.append(orderings[method](trace).index(root) + 1)
-        strata = (unit.bug_type, _length_bucket(len(trace)), unit.bucket, trace.domain)
-        return UnitRecord(root, strata, tuple(ranks), timings, table, fell_back, llm_error)
+        strata = (truth.bug_type, _length_bucket(len(trace)), _bucket_of(root), trace.domain)
+        return ScenarioRecord(root, strata, tuple(ranks), timings, table, fell_back, llm_error)
 
-    # ``map`` holds no unit between calls, so each trace is freed before the
-    # next unit is requested.
-    records = list(map(record_of, units))
+    # ``map`` holds no scenario between calls, so each trace is freed before
+    # the next scenario is requested.
+    records = list(map(record_of, scenarios))
     if not records:
         raise EmptyBenchmark("evaluate over zero scenarios")
     ranks_of = dict(zip(methods, zip(*(record.ranks for record in records))))
@@ -319,7 +300,7 @@ def evaluate(
 
 
 def sweep_over_units(tables: list[FeatureTable], roots: list[int]) -> list[dict]:
-    """Hit@1 per position weight, scored from the units' feature tables
+    """Hit@1 per position weight, scored from the scenarios' feature tables
     (perfbench's tracer times this and ``ablation_table``)."""
     return [{"w_position": w, "hit_at_1": h} for w, h in sweep_rows(tables, roots)]
 
@@ -329,7 +310,7 @@ GROUP_LETTERS = dict(zip(GROUP_ORDER, "PSCFE"))
 
 def ablation_table(tables: list[FeatureTable], roots: list[int]) -> dict:
     """Hit@1 for feature-group subsets (weights renormalized to sum one),
-    scored from the units' feature tables."""
+    scored from the scenarios' feature tables."""
     points = [WeightVector.restricted(combo) for combo in ABLATION_COMBOS]
     hits = hit_at_1_by_weights(tables, roots, points)
     return {

@@ -3,9 +3,14 @@
 The grid is ``DEFAULT_GRID``: the cartesian product of its per-group values
 (576 combinations), of which the 14 that sum to one are feasible. Each
 feasible point is evaluated by Hit@1 on a validation set, scored from one
-``FeatureTable`` per scenario (anchored at its annotated error node). Ties
-break toward the larger position weight, then lexicographically, so
-repeated searches return the same vector.
+``FeatureTable`` per scenario. The caller builds the tables, anchored at
+each trace's final step as ``evaluate`` anchors them, so the weights are
+learned on the tables that ``evaluate`` scores. On generated data the final
+step is the annotated error node; on a validation set whose error node is
+another step, the learned weights can differ from those of tables anchored
+at the error node, which is the intended effect. Ties break toward the
+larger position weight, then lexicographically, so repeated searches return
+the same vector.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import EmptyBenchmark
-from .features import FeatureConfig
-from .ranking import DEFAULT_MAX_DEPTH, FeatureTable, WeightVector, feature_table
+from .ranking import FeatureTable, WeightVector
 
 DEFAULT_GRID = {
     "position": (0.5, 0.6, 0.7, 0.8),
@@ -55,20 +59,13 @@ def sweep_rows(tables, roots):
 
 
 def grid_search(
-    validation,
-    config: FeatureConfig | None = None,
-    max_depth: int = DEFAULT_MAX_DEPTH,
+    tables: list[FeatureTable], roots
 ) -> tuple[WeightVector, list[tuple[WeightVector, float]]]:
-    """Exhaustively score every feasible grid point by validation Hit@1."""
-    validation = list(validation)
-    if not validation:
+    """Exhaustively score every feasible grid point by validation Hit@1, where
+    ``roots[i]`` is the true root cause of ``tables[i]``."""
+    if not tables:
         raise EmptyBenchmark("grid search requires a non-empty validation set")
     points = feasible_points()
-    tables = [
-        feature_table(s.trace, config, max_depth, error_node=s.ground_truth.error_node_id)
-        for s in validation
-    ]
-    roots = [s.ground_truth.root_cause_node_id for s in validation]
     table = list(zip(points, hit_at_1_by_weights(tables, roots, points)))
     best = max(
         table,

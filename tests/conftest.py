@@ -7,7 +7,6 @@ import pytest
 
 from tracefault.baselines import FixtureAdapter
 from tracefault.benchgen import DOMAIN_TEMPLATES, _build_correct_steps, generate_benchmark
-from tracefault.evaluation import unit_from_scenario
 from tracefault.model import ExecutionTrace, content_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -21,8 +20,8 @@ def seed42_benchmark():
 
 
 @pytest.fixture(scope="session")
-def units(seed42_benchmark):
-    return [unit_from_scenario(g.scenario) for g in seed42_benchmark]
+def scenarios(seed42_benchmark):
+    return [g.scenario for g in seed42_benchmark]
 
 
 def bench_trace(n: int) -> ExecutionTrace:

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import json
 import weakref
 
 import pytest
@@ -18,15 +19,21 @@ from tracefault.evaluation import (
     evaluate,
     render_report,
     run_checks,
-    unit_from_blind,
-    unit_from_scenario,
+    scenario_from_blind,
 )
 from tracefault.features import FeatureConfig, compute_features
 from tracefault.graph import backtrace, build_graph
-from tracefault.model import DOMAINS, content_key, parse_trace_blind, serialize_trace
+from tracefault.cli import main
+from tracefault.model import (
+    DOMAINS,
+    content_key,
+    parse_trace_blind,
+    serialize_scenario,
+    serialize_trace,
+)
 from tracefault.ranking import DEFAULT_MAX_DEPTH, WeightVector, feature_table, rank
 from tracefault.stats import hit_at_k
-from tracefault.weights import SWEEP_POSITION_VALUES, grid_search
+from tracefault.weights import SWEEP_POSITION_VALUES
 
 REWEIGHTS = (
     [WeightVector()]
@@ -36,8 +43,8 @@ REWEIGHTS = (
 
 
 @pytest.fixture(scope="module")
-def sample(units):
-    return units[::10]  # 55 units spread over every domain and bug position
+def sample(scenarios):
+    return scenarios[::10]  # 55 scenarios spread over every domain and bug position
 
 
 @pytest.fixture()
@@ -53,6 +60,19 @@ def feature_calls(monkeypatch):
     return calls
 
 
+def write_validation(tmp_path, per_domain):
+    """A validation directory of ``per_domain`` generated scenarios per
+    domain; returns it and its scenarios."""
+    directory = tmp_path / "validation"
+    directory.mkdir()
+    counts = {domain: per_domain for domain in DOMAINS}
+    scenarios = [g.scenario for g in generate_benchmark(seed=2024, counts=counts)]
+    for scenario in scenarios:
+        path = directory / f"{scenario.trace.scenario_id}.json"
+        path.write_bytes(serialize_scenario(scenario))
+    return directory, scenarios
+
+
 def left_to_right(columns, weights):
     """Each candidate's weighted sum of its group scores, added from 0.0
     left to right in group order."""
@@ -66,16 +86,17 @@ def left_to_right(columns, weights):
 
 
 def test_table_scores_equal_fresh_rank_for_every_weight_vector(sample):
-    for unit in sample:
-        table = feature_table(unit.trace)
-        graph = build_graph(unit.trace)
-        candidates = backtrace(graph, len(unit.trace), DEFAULT_MAX_DEPTH)
-        columns = compute_features(unit.trace, graph, candidates)
+    for scenario in sample:
+        trace = scenario.trace
+        table = feature_table(trace)
+        graph = build_graph(trace)
+        candidates = backtrace(graph, len(trace), DEFAULT_MAX_DEPTH)
+        columns = compute_features(trace, graph, candidates)
         steps = sorted(candidates.members)
-        kept = rank(unit.trace).table
+        kept = rank(trace).table
         for weights in REWEIGHTS:
             scored = [(v, s) for s, v in table.rank(weights).ranked]
-            fresh = [(v, s) for s, v in rank(unit.trace, weights=weights).ranked]
+            fresh = [(v, s) for s, v in rank(trace, weights=weights).ranked]
             assert [(v, s) for s, v in kept.rank(weights).ranked] == scored
             oracle = sorted(
                 zip(steps, left_to_right(columns, weights)),
@@ -89,7 +110,13 @@ def test_evaluate_reweighting_matches_per_weight_rank(sample):
     result = evaluate(sample, methods=("tracefault",), with_ablations=True, with_sweep=True)
 
     def hit1(weights):
-        return hit_at_k([rank(u.trace, weights=weights).rank_of(u.root_cause) for u in sample], 1)
+        return hit_at_k(
+            [
+                rank(s.trace, weights=weights).rank_of(s.ground_truth.root_cause_node_id)
+                for s in sample
+            ],
+            1,
+        )
 
     assert result["methods"]["tracefault"]["hit_at_1"] == hit1(WeightVector())
     assert len(result["ablations"]) == len(ABLATION_COMBOS) + 1
@@ -104,19 +131,21 @@ def test_evaluate_reweighting_matches_per_weight_rank(sample):
 
 def test_features_computed_once_per_unit_under_ablations_and_sweep(sample, feature_calls):
     evaluate(sample, methods=("tracefault",), with_ablations=True, with_sweep=True)
-    assert sorted(feature_calls) == sorted(u.trace.scenario_id for u in sample)
+    assert sorted(feature_calls) == sorted(s.trace.scenario_id for s in sample)
 
 
-def test_grid_search_computes_features_once_per_scenario(feature_calls):
-    counts = {domain: 2 for domain in DOMAINS}
-    scenarios = [g.scenario for g in generate_benchmark(seed=2024, counts=counts)]
+def test_grid_search_computes_features_once_per_scenario(feature_calls, tmp_path):
+    directory, scenarios = write_validation(tmp_path, per_domain=2)
     feature_calls.clear()
-    _, table = grid_search(scenarios)
-    assert len(table) == 14
+    out = tmp_path / "weights.json"
+    assert main(["learn-weights", str(directory), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["evaluated_points"] == 14
     assert sorted(feature_calls) == sorted(s.trace.scenario_id for s in scenarios)
 
 
-def test_config_fingerprint_once_per_evaluation_and_never_in_grid_search(sample, monkeypatch):
+def test_config_fingerprint_once_per_evaluation_and_never_in_grid_search(
+    sample, monkeypatch, tmp_path
+):
     calls = []
     original = FeatureConfig.fingerprint
 
@@ -129,18 +158,19 @@ def test_config_fingerprint_once_per_evaluation_and_never_in_grid_search(sample,
     assert len(calls) == 1
     assert result["config_fingerprint"] == original(FeatureConfig())
     calls.clear()
-    counts = {domain: 1 for domain in DOMAINS}
-    grid_search([g.scenario for g in generate_benchmark(seed=2024, counts=counts)])
+    directory, _ = write_validation(tmp_path, per_domain=1)
+    assert main(["learn-weights", str(directory), "--out", str(tmp_path / "weights.json")]) == 0
     assert calls == []
 
 
-def test_baseline_agreeing_everywhere_is_reported_not_raised(units):
-    def agrees(unit):
-        main = rank(unit.trace).rank_of(unit.root_cause) == 1
-        last = last_node_baseline(unit.trace)[0] == unit.root_cause
-        return main == last
+def test_baseline_agreeing_everywhere_is_reported_not_raised(scenarios):
+    def agrees(scenario):
+        root = scenario.ground_truth.root_cause_node_id
+        tracefault_hit = rank(scenario.trace).rank_of(root) == 1
+        last_hit = last_node_baseline(scenario.trace)[0] == root
+        return tracefault_hit == last_hit
 
-    agreeing = list(itertools.islice(filter(agrees, units), 5))
+    agreeing = list(itertools.islice(filter(agrees, scenarios), 5))
     result = evaluate(agreeing, methods=("tracefault", "last"))
     sig = result["significance"]["tracefault_vs_last"]
     assert (sig["n01"], sig["n10"], sig["n00"] + sig["n11"]) == (0, 0, 5)
@@ -149,13 +179,16 @@ def test_baseline_agreeing_everywhere_is_reported_not_raised(units):
     assert "no discordant pairs" in render_report(result)
 
 
-def test_llm_errors_cover_every_miss(units, llm_adapter):
-    result = evaluate(units, methods=("llm",), llm_adapter=llm_adapter)
+def test_llm_errors_cover_every_miss(scenarios, llm_adapter):
+    result = evaluate(scenarios, methods=("llm",), llm_adapter=llm_adapter)
     completions = llm_adapter.completions
-    misses = sum(completions[content_key(u.trace)] != str(u.root_cause) for u in units)
+    misses = sum(
+        completions[content_key(s.trace)] != str(s.ground_truth.root_cause_node_id)
+        for s in scenarios
+    )
     assert result["llm_fallbacks"] == 0
     assert sum(result["llm_error_analysis"].values()) == misses
-    assert result["methods"]["llm"]["hit_at_1"] == (len(units) - misses) / len(units)
+    assert result["methods"]["llm"]["hit_at_1"] == (len(scenarios) - misses) / len(scenarios)
 
 
 def test_five_methods_share_one_bootstrap_call(sample, llm_adapter, monkeypatch):
@@ -182,38 +215,36 @@ def test_blind_and_annotated_units_agree_on_deterministic_methods(seed42_benchma
         scenarios = [g.scenario for g in benchmark]
         # One fixture, keyed by content, serves both splits.
         adapter = FixtureAdapter(simulated_llm_fixture(benchmark))
-        annotated = evaluate(
-            map(unit_from_scenario, scenarios), methods=METHODS, llm_adapter=adapter
-        )
+        annotated = evaluate(scenarios, methods=METHODS, llm_adapter=adapter)
         traces, answers = make_blind(scenarios, "parity")
-        blind_units = (unit_from_blind(trace, answers) for trace in traces)
-        blind = evaluate(blind_units, methods=METHODS, llm_adapter=adapter)
+        blind_scenarios = (scenario_from_blind(trace, answers) for trace in traces)
+        blind = evaluate(blind_scenarios, methods=METHODS, llm_adapter=adapter)
         assert annotated["methods"].keys() == set(METHODS)
         for block in ("methods", "strata", "significance", "llm_error_analysis", "llm_fallbacks"):
             assert annotated[block] == blind[block], (seed, block)
 
 
-def test_metrics_do_not_depend_on_the_order_of_the_units(units):
+def test_metrics_do_not_depend_on_the_order_of_the_units(scenarios):
     methods = ("tracefault", "random", "first", "last")
-    forward = evaluate(units, methods=methods)
-    backward = evaluate(reversed(units), methods=methods)
+    forward = evaluate(scenarios, methods=methods)
+    backward = evaluate(reversed(scenarios), methods=methods)
     assert forward["methods"] == backward["methods"]
     assert forward["strata"] == backward["strata"]
 
 
 def test_evaluate_drops_each_trace_before_requesting_the_next(sample):
-    units = sample[:12]
+    scenarios = sample[:12]
     refs = []
     dead_before_next = []
 
     def stream():
-        for unit in units:
+        for scenario in scenarios:
             if refs:
                 gc.collect()
                 dead_before_next.append(refs[-1]() is None)
-            # A fresh trace per unit, which nothing but the unit refers to.
+            # A fresh trace per scenario, which nothing but the scenario refers to.
             fresh = dataclasses.replace(
-                unit, trace=parse_trace_blind(serialize_trace(unit.trace))
+                scenario, trace=parse_trace_blind(serialize_trace(scenario.trace))
             )
             refs.append(weakref.ref(fresh.trace))
             yield fresh
@@ -221,10 +252,10 @@ def test_evaluate_drops_each_trace_before_requesting_the_next(sample):
 
     methods = ("tracefault", "random", "first", "last")
     streamed = evaluate(stream(), methods=methods, with_ablations=True)
-    assert dead_before_next == [True] * (len(units) - 1)
-    # One pass: every method scored every unit of the single pass.
-    assert len(refs) == streamed["scenario_count"] == len(units)
-    listed = evaluate(units, methods=methods, with_ablations=True)
+    assert dead_before_next == [True] * (len(scenarios) - 1)
+    # One pass: every method scored every scenario of the single pass.
+    assert len(refs) == streamed["scenario_count"] == len(scenarios)
+    listed = evaluate(scenarios, methods=methods, with_ablations=True)
     streamed.pop("component_timings_ms")
     listed.pop("component_timings_ms")
     assert streamed == listed

@@ -33,7 +33,7 @@ from conftest import bench_trace, simulated_llm_fixture
 from tracefault.baselines import FixtureAdapter
 from tracefault.benchgen import generate_benchmark
 from tracefault.cli import VALIDATION_PER_DOMAIN, VALIDATION_SEED
-from tracefault.evaluation import METHODS, evaluate, render_report, unit_from_scenario
+from tracefault.evaluation import METHODS, evaluate, render_report
 from tracefault.graph import build_graph
 from tracefault.model import DOMAINS, canonical_json_bytes, content_key
 from tracefault.ranking import rank, render_markdown
@@ -85,7 +85,7 @@ def seed42_evaluation_sha256(benchmark) -> str:
         completions[content_key(trace)] = "no idea"
     completions[content_key(spoiled[5])] = "99"  # no trace has 99 steps
     result = evaluate(
-        (unit_from_scenario(g.scenario) for g in benchmark),
+        (g.scenario for g in benchmark),
         methods=METHODS,
         llm_adapter=FixtureAdapter(completions),
         with_ablations=True,

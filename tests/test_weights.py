@@ -25,6 +25,18 @@ def validation():
     return [g.scenario for g in generate_benchmark(seed=2024, counts=counts)]
 
 
+def tables_and_roots(scenarios):
+    """One table per scenario, anchored at the final step as ``evaluate`` and
+    ``learn-weights`` anchor it, and the scenarios' roots."""
+    tables = [feature_table(s.trace) for s in scenarios]
+    return tables, [s.ground_truth.root_cause_node_id for s in scenarios]
+
+
+@pytest.fixture(scope="module")
+def scored(validation):
+    return tables_and_roots(validation)
+
+
 def brute_force_feasible_count() -> int:
     total = 0
     for combo in itertools.product(*DEFAULT_GRID.values()):
@@ -45,8 +57,8 @@ def test_default_weights_are_a_feasible_grid_point():
     assert any(p.as_tuple() == pytest.approx(target) for p in points)
 
 
-def test_grid_search_evaluates_every_feasible_point(validation):
-    best, table = grid_search(validation)
+def test_grid_search_evaluates_every_feasible_point(scored):
+    best, table = grid_search(*scored)
     assert len(table) == 14
     assert isinstance(best, WeightVector)
     best_hit = max(hit for _, hit in table)
@@ -55,22 +67,22 @@ def test_grid_search_evaluates_every_feasible_point(validation):
     )
 
 
-def test_grid_search_tie_breaks_toward_position(validation):
-    best, table = grid_search(validation)
+def test_grid_search_tie_breaks_toward_position(scored):
+    best, table = grid_search(*scored)
     best_hit = max(hit for _, hit in table)
     tied = [w for w, hit in table if hit == best_hit]
     assert best.position == max(w.position for w in tied)
 
 
 def test_grid_search_deterministic(validation):
-    one, _ = grid_search(validation)
-    two, _ = grid_search(validation)
+    one, _ = grid_search(*tables_and_roots(validation))
+    two, _ = grid_search(*tables_and_roots(validation))
     assert one.as_tuple() == two.as_tuple()
 
 
 def test_empty_validation_raises():
     with pytest.raises(EmptyBenchmark):
-        grid_search([])
+        grid_search([], [])
     with pytest.raises(EmptyBenchmark):
         evaluate([], methods=("tracefault",), with_sweep=True)
 
@@ -101,7 +113,7 @@ def test_sweep_covers_requested_values(validation):
 
 
 def test_weights_report_shape(validation):
-    best, table = grid_search(validation[:10])
+    best, table = grid_search(*tables_and_roots(validation[:10]))
     report = weights_report(best, table)
     assert report["evaluated_points"] == len(table)
     assert set(report["best"]) == {"position", "structure", "content", "flow", "confidence"}
