@@ -6,6 +6,12 @@ benchmark), ``learn-weights`` (grid search) and ``blind`` (anonymized split).
 All outputs are written atomically (temp file then rename) and no subcommand
 mutates its inputs, so reruns are idempotent.
 
+``generate`` owns the split directories ``scenarios/``, ``blind/`` and
+``validation/`` of its output, and ``blind`` owns ``blind/`` of its own: a
+run replaces each split it writes whole, deleting the directory's other
+``*.json`` files, so a rerun under another seed or salt never leaves two
+runs' files mixed in one split.
+
 ``evaluate`` and ``learn-weights`` stream their split as ``Scenario``s: each
 file (on the blind split, each blind file, joined to ``answers.json``, which
 is read first) is parsed only when the run reaches it, and no trace is kept
@@ -97,13 +103,30 @@ def _load_config(path: str | None) -> FeatureConfig:
     return _parse_file(Path(path), parse)
 
 
+def _write_split(directory: Path, files) -> None:
+    """Write the ``(name, bytes)`` pairs into ``directory``, then delete its
+    other ``*.json`` files, so that the split holds exactly these files."""
+    names = set()
+    for name, data in files:
+        _write_atomic(directory / name, data)
+        names.add(name)
+    for path in directory.glob("*.json"):
+        if path.name not in names:
+            path.unlink()
+
+
+def _scenario_bytes(scenarios):
+    return ((f"{s.trace.scenario_id}.json", serialize_scenario(s)) for s in scenarios)
+
+
 def _write_blind(out: Path, scenarios, salt: str) -> int:
     """Write the blind traces and their answer key; return how many."""
     from .benchgen import make_blind
 
     blind_traces, answers = make_blind(scenarios, salt)
-    for trace in blind_traces:
-        _write_atomic(out / "blind" / f"{trace.scenario_id}.json", serialize_trace(trace))
+    _write_split(
+        out / "blind", ((f"{t.scenario_id}.json", serialize_trace(t)) for t in blind_traces)
+    )
     _write_json(out / "answers.json", answers)
     return len(blind_traces)
 
@@ -121,12 +144,7 @@ def cmd_generate(args) -> int:
     scenarios = generate_benchmark(seed=seed)
     for generated in scenarios:
         verify_ground_truth(generated)
-    for generated in scenarios:
-        scenario = generated.scenario
-        _write_atomic(
-            out / "scenarios" / f"{scenario.trace.scenario_id}.json",
-            serialize_scenario(scenario),
-        )
+    _write_split(out / "scenarios", _scenario_bytes(g.scenario for g in scenarios))
     _write_blind(out, [g.scenario for g in scenarios], args.salt)
 
     # Held-out split under a distinct seed; never part of the benchmark.
@@ -135,11 +153,7 @@ def cmd_generate(args) -> int:
         seed=validation_seed,
         counts={domain: VALIDATION_PER_DOMAIN for domain in DOMAINS},
     )
-    for generated in validation:
-        _write_atomic(
-            out / "validation" / f"{generated.scenario.trace.scenario_id}.json",
-            serialize_scenario(generated.scenario),
-        )
+    _write_split(out / "validation", _scenario_bytes(g.scenario for g in validation))
 
     manifest = benchmark_manifest(scenarios, seed)
     manifest["verified"] = len(scenarios)

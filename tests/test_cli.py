@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -533,3 +534,40 @@ def test_generated_errors_manifest_at_the_final_step(generated, seed):
         for path in paths:
             scenario = parse_scenario(path.read_bytes())
             assert scenario.ground_truth.error_node_id == len(scenario.trace), path.name
+
+
+def split_files(bench: Path, split: str) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in (bench / split).iterdir()}
+
+
+def test_generate_over_another_seed_replaces_every_split(generated, tmp_path):
+    bench = tmp_path / "bench"
+    shutil.copytree(generated(42), bench)
+    assert main(["generate", "--seed", "7", "--out", str(bench)]) == 0
+    for split in ("scenarios", "blind", "validation"):
+        assert split_files(bench, split) == split_files(generated(7), split), split
+    manifest = json.loads((bench / "manifest.json").read_text())
+    for flags in ([], ["--blind"]):
+        out_dir = tmp_path / f"out{len(flags)}"
+        argv = ["evaluate", str(bench), *flags, "--methods", "tracefault"]
+        assert main([*argv, "--out-dir", str(out_dir)]) == 0, flags
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert metrics["scenario_count"] == manifest["scenario_count"], flags
+
+
+def test_blind_with_another_salt_replaces_the_blind_split(tmp_path):
+    from tracefault.benchgen import generate_benchmark
+    from tracefault.model import serialize_scenario
+
+    (tmp_path / "scenarios").mkdir()
+    for generated in generate_benchmark(seed=1, counts={"devops_automation": 3}):
+        scenario = generated.scenario
+        path = tmp_path / "scenarios" / f"{scenario.trace.scenario_id}.json"
+        path.write_bytes(serialize_scenario(scenario))
+    assert main(["blind", str(tmp_path)]) == 0
+    assert main(["blind", str(tmp_path), "--salt", "other"]) == 0
+    answers = json.loads((tmp_path / "answers.json").read_text())
+    assert sorted(path.stem for path in (tmp_path / "blind").iterdir()) == sorted(answers)
+    out_dir = tmp_path / "out"
+    assert main(["evaluate", str(tmp_path), "--blind", "--out-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "metrics.json").read_text())["scenario_count"] == 3
