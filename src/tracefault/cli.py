@@ -392,6 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "evaluate" and "llm" in args.methods and not args.llm_fixture:
+        parser.error("--methods llm needs --llm-fixture")
     try:
         return args.func(args)
     except TracefaultError as exc:

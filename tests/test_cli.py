@@ -106,6 +106,7 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         (["analyze", "t.json", "--max-depth", "abc"], "--max-depth: not an integer: 'abc'"),
         (["bench"], "invalid choice: 'bench'"),
         (["evaluate", "b", "--eval-seed", "5"], "unrecognized arguments: --eval-seed 5"),
+        (["evaluate", "b", "--methods", "tracefault,llm"], "--methods llm needs --llm-fixture"),
     ],
     ids=[
         "analyze-max-depth-0",
@@ -120,6 +121,7 @@ def test_analyze_error_node_outside_graph_exits_3(example1_path, capsys, node):
         "max-depth-not-int",
         "bench-removed",
         "eval-seed-removed",
+        "llm-without-fixture",
     ],
 )
 def test_bad_flag_values_exit_2_with_a_message(capsys, argv, message):
