@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 
@@ -693,7 +694,7 @@ def blind_id(scenario_id: str, salt: str) -> str:
     return hashlib.sha256(f"{salt}|{scenario_id}".encode("utf-8")).hexdigest()[:12]
 
 
-def make_blind(scenarios: list[Scenario], salt: str) -> tuple[list[ExecutionTrace], dict]:
+def make_blind(scenarios: Iterable[Scenario], salt: str) -> tuple[list[ExecutionTrace], dict]:
     """Anonymize ids and split ground truth into a separate answer key."""
     blind_traces: list[ExecutionTrace] = []
     answers: dict[str, dict] = {}

@@ -59,7 +59,7 @@ def sweep_rows(tables, roots):
 
 
 def grid_search(
-    tables: list[FeatureTable], roots
+    tables: list[FeatureTable], roots: list[int]
 ) -> tuple[WeightVector, list[tuple[WeightVector, float]]]:
     """Exhaustively score every feasible grid point by validation Hit@1, where
     ``roots[i]`` is the true root cause of ``tables[i]``."""
