@@ -526,6 +526,52 @@ def test_learn_weights_output_is_pinned(generated, tmp_path, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LEARNED_WEIGHTS_SHA256[seed]
 
 
+# SHA-256 of each entry ``generate --seed <seed>`` writes. A split
+# directory's digest is that of its sorted ``<name> <file sha256>`` lines.
+GENERATED_TREE_SHA256 = {
+    42: {
+        "answers.json": "04ab4d14b81f2857793d71d397f9c26a0e5913f6031c1b5de056c1bf39829a54",
+        "blind/": "3a85799caf4d118052618bf70810a6f0e62382c8e0ef692dcec193e256a6d8c6",
+        "manifest.json": "b41115b6659a2019bad253566f341f61c85b7a4d72f83e2ec68da7833e75cbd5",
+        "scenarios/": "50824716a90ed7d28bd17a634ffbd535e68f7007035de491a32f3bf3b183f166",
+        "validation/": "213c694acfa64dac2a98128ae1d41c1e7d8bad217e36ad0b468dbb19877f2fd3",
+    },
+    7: {
+        "answers.json": "b2e8a98892083713d7d938f7215f31a2b6851f58c34c9ea303193c325b268625",
+        "blind/": "1cd09c788bdfdfd3ffe2ff2db2476ca568c339ae34b463854f3494e6f7c43f06",
+        "manifest.json": "c278f7114b6309b8f4fabceaadd52cfb991fc6828db04702934ab5c89cbbc6d6",
+        "scenarios/": "2c35661793b6b2541a62d8a08a98e87e0316b77c1d82efe315a9e24e8361e66c",
+        "validation/": "0eac026b7be11058ab621068bb654a0dd7164327a820d9cb2218098211957f94",
+    },
+    1: {
+        "answers.json": "ce34f7d699d979715a493c5ee2a21953d4467af9aad6c4298453fd52d29cd3d8",
+        "blind/": "3217323b1e4872855c5649e11e9656eb982b0ff9279e3aff94b4b6088c41579c",
+        "manifest.json": "2fd75964cd965bdb1b1694bcd56c4b4081844f4975a99755f5b4b4c707c15925",
+        "scenarios/": "35c38f200276f2b95bae7cb977b0b52195e6bb1aea226372ba9a3c9c27b8dee8",
+        "validation/": "36694a9620d9c4ce4a12012394bbf0e32a5ec1de9a8c53c0bcf48059a67d3ae2",
+    },
+}
+
+
+def tree_sha256(bench: Path) -> dict[str, str]:
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    digests = {}
+    for entry in sorted(bench.iterdir()):
+        if entry.is_dir():
+            lines = "".join(f"{p.name} {sha(p.read_bytes())}\n" for p in sorted(entry.iterdir()))
+            digests[f"{entry.name}/"] = sha(lines.encode())
+        else:
+            digests[entry.name] = sha(entry.read_bytes())
+    return digests
+
+
+@pytest.mark.parametrize("seed", sorted(GENERATED_TREE_SHA256))
+def test_generated_tree_is_pinned(generated, seed):
+    assert tree_sha256(generated(seed)) == GENERATED_TREE_SHA256[seed]
+
+
 @pytest.mark.parametrize("seed", sorted(LEARNED_WEIGHTS_SHA256))
 def test_generated_errors_manifest_at_the_final_step(generated, seed):
     # Evaluation and learn-weights anchor at the final step; on generated
