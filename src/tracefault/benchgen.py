@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .errors import TemplateExhausted, VerificationFailed
@@ -512,8 +512,7 @@ def _inject(
     """
     n = len(correct)
     b = bug.bug_step
-    steps = list(correct)
-    bug_step = steps[b - 1]
+    bug_step = correct[b - 1]
     artifact = bug_step.produces[0]
 
     mutated_output, description = _mutate_output(
@@ -523,11 +522,7 @@ def _inject(
         mutated_output += " The mapping here seems only partially pinned down."
     if rng.random() < 0.25:
         mutated_output += " Possibly needs another look later."
-    steps[b - 1] = replace(
-        bug_step,
-        output=mutated_output,
-        confidence=round(rng.uniform(0.38, 0.68), 2),
-    )
+    bug_confidence = round(rng.uniform(0.38, 0.68), 2)
 
     extra_consumers: list[int] = [n]
     if b + 1 < n:
@@ -535,25 +530,35 @@ def _inject(
         if rng.random() < 0.35:
             extra_consumers.append(rng.randrange(b + 1, n))
     note = _CASCADE_NOTE.format(artifact=artifact)
-    for m in range(b + 1, n + 1):
-        step = steps[m - 1]
-        consumes = set(step.consumes or ())
-        if m in extra_consumers:
-            consumes.add(artifact)
-        if m == n:
-            output = (
-                f"{template.final_action} failed: output mismatch traced back "
-                f"to {artifact}."
-            )
-            input_text = f"Finalize {template.task} using {artifact} as handed off."
+    steps = list(correct[: b - 1])
+    for step in correct[b - 1 :]:
+        m = step.step_id
+        input_text, confidence, consumes = step.input, step.confidence, step.consumes
+        if m == b:
+            output, confidence = mutated_output, bug_confidence
         else:
-            output = f"{step.output} {note}"
-            input_text = step.input
-        steps[m - 1] = replace(
-            step,
-            input=input_text,
-            output=output,
-            consumes=tuple(sorted(consumes)),
+            extra = {artifact} if m in extra_consumers else set()
+            consumes = tuple(sorted(set(consumes or ()) | extra))
+            if m == n:
+                output = (
+                    f"{template.final_action} failed: output mismatch traced back "
+                    f"to {artifact}."
+                )
+                input_text = f"Finalize {template.task} using {artifact} as handed off."
+            else:
+                output = f"{step.output} {note}"
+        steps.append(
+            Step(
+                step_id=m,
+                agent=step.agent,
+                action_type=step.action_type,
+                input=input_text,
+                output=output,
+                timestamp=step.timestamp,
+                confidence=confidence,
+                produces=step.produces,
+                consumes=consumes,
+            )
         )
     return tuple(steps), description
 
@@ -645,6 +650,10 @@ def verify_ground_truth(generated: GeneratedScenario) -> dict:
 
     Cascade steps also differ from the twin (they carry a propagation note)
     and still reach the error, so only the earliest divergence pins the root.
+
+    The report also carries the ``edge_kind_counts()`` of the graph the path
+    check built, which ``benchmark_manifest`` takes so that a generated
+    scenario's graph is built once.
     """
     scenario = generated.scenario
     b = scenario.ground_truth.root_cause_node_id
@@ -687,6 +696,7 @@ def verify_ground_truth(generated: GeneratedScenario) -> dict:
         "bug_present": bug_present,
         "counterfactual_clean": counterfactual_clean,
         "propagates": propagates,
+        "edge_kind_counts": graph.edge_kind_counts(),
     }
 
 
@@ -694,13 +704,15 @@ def blind_id(scenario_id: str, salt: str) -> str:
     return hashlib.sha256(f"{salt}|{scenario_id}".encode("utf-8")).hexdigest()[:12]
 
 
-def make_blind(scenarios: Iterable[Scenario], salt: str) -> tuple[list[ExecutionTrace], dict]:
-    """Anonymize ids and split ground truth into a separate answer key."""
-    blind_traces: list[ExecutionTrace] = []
+def make_blind(scenarios: Iterable[Scenario], salt: str) -> tuple[list[str], dict]:
+    """Anonymize ids and split ground truth into a separate answer key:
+    returns each scenario's blind id, in order, and the key. A blind file is
+    the scenario's trace under its blind id (``model.trace_file``)."""
+    ids: list[str] = []
     answers: dict[str, dict] = {}
     for scenario in scenarios:
         anon = blind_id(scenario.trace.scenario_id, salt)
-        blind_traces.append(replace(scenario.trace, scenario_id=anon))
+        ids.append(anon)
         gt = scenario.ground_truth
         answers[anon] = {
             "original_id": scenario.trace.scenario_id,
@@ -709,11 +721,17 @@ def make_blind(scenarios: Iterable[Scenario], salt: str) -> tuple[list[Execution
             "bug_type": gt.bug_type,
             "bug_description": gt.bug_description,
         }
-    return blind_traces, answers
+    return ids, answers
 
 
-def benchmark_manifest(scenarios: list[GeneratedScenario], seed: int) -> dict:
-    """Counts and distribution statistics for a generated benchmark."""
+def benchmark_manifest(
+    scenarios: list[GeneratedScenario], edge_counts: Iterable[dict[str, int]], seed: int
+) -> dict:
+    """Counts and distribution statistics for a generated benchmark.
+
+    ``edge_counts`` holds each scenario's ``edge_kind_counts()``, as
+    ``verify_ground_truth`` reports them, so no graph is built here.
+    """
     by_domain: dict[str, int] = {}
     by_type: dict[str, int] = {}
     by_bucket: dict[str, int] = {}
@@ -725,7 +743,8 @@ def benchmark_manifest(scenarios: list[GeneratedScenario], seed: int) -> dict:
         by_type[gen.bug.bug_type] = by_type.get(gen.bug.bug_type, 0) + 1
         by_bucket[gen.bug.location_bucket] = by_bucket.get(gen.bug.location_bucket, 0) + 1
         lengths.append(len(trace))
-        for kind, count in build_graph(trace).edge_kind_counts().items():
+    for counts in edge_counts:
+        for kind, count in counts.items():
             kind_totals[kind] += count
     total_edges = sum(kind_totals.values())
     n = len(scenarios) or 1

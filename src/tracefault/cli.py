@@ -3,14 +3,18 @@
 Subcommands cover the full pipeline: ``generate`` (benchmark synthesis),
 ``analyze`` (single-trace diagnosis), ``evaluate`` (metrics over a
 benchmark), ``learn-weights`` (grid search) and ``blind`` (anonymized split).
-All outputs are written atomically (temp file then rename) and no subcommand
-mutates its inputs, so reruns are idempotent.
+No subcommand mutates its inputs, so reruns are idempotent, and no output
+is ever seen half-written. A single output file is written to a temporary
+sibling, then renamed over its target. A split directory is replaced whole:
+its files are created in a fresh sibling directory, the old split is renamed
+aside, the staged one is renamed into its place and the old one is deleted.
+Files are created with mode 0666 less the umask.
 
 ``generate`` owns the split directories ``scenarios/``, ``blind/`` and
 ``validation/`` of its output, and ``blind`` owns ``blind/`` of its own: a
-run replaces each split it writes whole, deleting the directory's other
-``*.json`` files, so a rerun under another seed or salt never leaves two
-runs' files mixed in one split.
+run replaces each split it writes whole, so a rerun under another seed or
+salt never leaves two runs' files mixed in one split, and a run that fails
+before a split is swapped in leaves that split as it was.
 
 ``evaluate`` and ``learn-weights`` stream their split as ``Scenario``s: each
 file (on the blind split, each blind file, joined to ``answers.json``, which
@@ -24,21 +28,22 @@ Exit codes: 0 success, 1 failed ``--check`` thresholds, 2 usage errors,
 
 Each subcommand imports the modules that only it uses, so ``analyze`` loads
 the model, graph, features and ranking modules and none of the benchmark,
-evaluation, baseline or statistics code.
+evaluation, baseline or statistics code, and ``generate`` loads no feature
+or ranking code.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
-import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import AdapterFailure, SchemaViolation, TracefaultError
-from .features import FeatureConfig
-from .graph import build_graph
+from .graph import DEFAULT_MAX_DEPTH, build_graph
 from .model import (
     DOMAINS,
     canonical_json_bytes,
@@ -46,25 +51,38 @@ from .model import (
     parse_scenario,
     parse_trace,
     parse_trace_blind,
-    serialize_scenario,
-    serialize_trace,
+    steps_json,
+    trace_file,
 )
-from .ranking import DEFAULT_MAX_DEPTH, WeightVector, feature_table, rank, render_markdown
+
+if TYPE_CHECKING:
+    from .features import FeatureConfig
+    from .ranking import WeightVector
 
 VALIDATION_SEED = 2024
 VALIDATION_PER_DOMAIN = 5
 
 
+def _sibling(path: Path) -> Path:
+    """A fresh hidden name beside ``path``."""
+    return path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+
+
+def _create(path: Path, data: bytes) -> None:
+    """Write ``data`` to a new file, mode 0666 less the umask."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    with os.fdopen(fd, "wb") as handle:
+        handle.write(data)
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = _sibling(path)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        _create(tmp, data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -83,6 +101,8 @@ def _from_obj(what: str, build, obj):
 
 
 def _load_weights(path: str | None) -> WeightVector:
+    from .ranking import WeightVector
+
     if path is None:
         return WeightVector()
 
@@ -94,6 +114,8 @@ def _load_weights(path: str | None) -> WeightVector:
 
 
 def _load_config(path: str | None) -> FeatureConfig:
+    from .features import FeatureConfig
+
     if path is None:
         return FeatureConfig()
 
@@ -104,31 +126,56 @@ def _load_config(path: str | None) -> FeatureConfig:
 
 
 def _write_split(directory: Path, files) -> None:
-    """Write the ``(name, bytes)`` pairs into ``directory``, then delete its
-    other ``*.json`` files, so that the split holds exactly these files."""
-    names = set()
-    for name, data in files:
-        _write_atomic(directory / name, data)
-        names.add(name)
-    for path in directory.glob("*.json"):
-        if path.name not in names:
-            path.unlink()
+    """Replace ``directory`` whole with the ``(name, bytes)`` pairs.
+
+    The files are created in a fresh sibling directory, which takes the
+    split's place by two renames: the old split moves aside, the staged one
+    moves in, and the old one is deleted. On a failure before the swap is
+    done, the staged directory is deleted and the old split stays in place.
+    """
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    staged = _sibling(directory)
+    os.mkdir(staged)
+    aside = None
+    try:
+        for name, data in files:
+            _create(staged / name, data)
+        if directory.is_dir():
+            aside = _sibling(directory)
+            os.rename(directory, aside)
+        os.rename(staged, directory)
+    except BaseException:
+        if aside is not None:
+            os.rename(aside, directory)
+        shutil.rmtree(staged)
+        raise
+    if aside is not None:
+        shutil.rmtree(aside)
 
 
-def _scenario_bytes(scenarios):
-    return ((f"{s.trace.scenario_id}.json", serialize_scenario(s)) for s in scenarios)
+def _annotated_files(encoded):
+    """``(name, bytes)`` of the annotated file of each ``(scenario, steps)``
+    pair, ``steps`` being the trace's ``steps_json``."""
+    return (
+        (f"{s.trace.scenario_id}.json", trace_file(s.trace, steps, ground_truth=s.ground_truth))
+        for s, steps in encoded
+    )
 
 
-def _write_blind(out: Path, scenarios, salt: str) -> int:
-    """Write the blind traces and their answer key; return how many."""
+def _write_blind(out: Path, encoded: list, salt: str) -> None:
+    """Write the blind traces of the ``(scenario, steps)`` pairs and their
+    answer key."""
     from .benchgen import make_blind
 
-    blind_traces, answers = make_blind(scenarios, salt)
+    ids, answers = make_blind((s for s, _ in encoded), salt)
     _write_split(
-        out / "blind", ((f"{t.scenario_id}.json", serialize_trace(t)) for t in blind_traces)
+        out / "blind",
+        (
+            (f"{anon}.json", trace_file(s.trace, steps, scenario_id=anon))
+            for anon, (s, steps) in zip(ids, encoded)
+        ),
     )
     _write_json(out / "answers.json", answers)
-    return len(blind_traces)
 
 
 def cmd_generate(args) -> int:
@@ -142,10 +189,11 @@ def cmd_generate(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     out = Path(args.out)
     scenarios = generate_benchmark(seed=seed)
-    for generated in scenarios:
-        verify_ground_truth(generated)
-    _write_split(out / "scenarios", _scenario_bytes(g.scenario for g in scenarios))
-    _write_blind(out, [g.scenario for g in scenarios], args.salt)
+    edge_counts = [verify_ground_truth(g)["edge_kind_counts"] for g in scenarios]
+    # One encoding of each trace's steps serves its annotated and blind files.
+    encoded = [(g.scenario, steps_json(g.trace)) for g in scenarios]
+    _write_split(out / "scenarios", _annotated_files(encoded))
+    _write_blind(out, encoded, args.salt)
 
     # Held-out split under a distinct seed; never part of the benchmark.
     validation_seed = VALIDATION_SEED if seed == DEFAULT_SEED else seed + VALIDATION_SEED
@@ -153,9 +201,11 @@ def cmd_generate(args) -> int:
         seed=validation_seed,
         counts={domain: VALIDATION_PER_DOMAIN for domain in DOMAINS},
     )
-    _write_split(out / "validation", _scenario_bytes(g.scenario for g in validation))
+    _write_split(
+        out / "validation", _annotated_files((g.scenario, steps_json(g.trace)) for g in validation)
+    )
 
-    manifest = benchmark_manifest(scenarios, seed)
+    manifest = benchmark_manifest(scenarios, edge_counts, seed)
     manifest["verified"] = len(scenarios)
     manifest["validation_count"] = len(validation)
     _write_json(out / "manifest.json", manifest)
@@ -190,6 +240,8 @@ def _scenarios(directory: Path):
 
 
 def cmd_analyze(args) -> int:
+    from .ranking import rank, render_markdown
+
     trace = _parse_file(Path(args.trace), parse_trace)
     graph = build_graph(trace)
     diagnosis = rank(
@@ -240,7 +292,7 @@ def cmd_evaluate(args) -> int:
         scenarios = _scenarios(bench / "scenarios")
 
     adapter = None
-    if args.llm_fixture:
+    if "llm" in args.methods:  # ``main`` made sure a fixture is given
         adapter = _parse_file(
             Path(args.llm_fixture), lambda data: FixtureAdapter(load_json_object(data))
         )
@@ -279,6 +331,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_learn_weights(args) -> int:
+    from .ranking import feature_table
     from .weights import grid_search, weights_report
 
     # One table per file, anchored at the final step as ``evaluate`` anchors
@@ -298,8 +351,9 @@ def cmd_learn_weights(args) -> int:
 def cmd_blind(args) -> int:
     bench = Path(args.benchmark)
     out = bench if args.out_dir is None else Path(args.out_dir)
-    count = _write_blind(out, _scenarios(bench / "scenarios"), args.salt)
-    print(f"blinded {count} scenarios -> {out}")
+    encoded = [(s, steps_json(s.trace)) for s in _scenarios(bench / "scenarios")]
+    _write_blind(out, encoded, args.salt)
+    print(f"blinded {len(encoded)} scenarios -> {out}")
     return 0
 
 

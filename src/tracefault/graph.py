@@ -216,6 +216,9 @@ class CandidateSet:
     depth_of: dict[int, int] = field(compare=False)
 
 
+DEFAULT_MAX_DEPTH = 10
+
+
 def backtrace(graph: CausalGraph, error_node: int, max_depth: int) -> CandidateSet:
     """Collect ancestors of ``error_node`` within ``max_depth`` BFS layers.
 

@@ -14,6 +14,14 @@ lays them out:
   any ``ground_truth`` key is rejected so analyzers cannot leak labels.
 * ``answers.json``        -- separate map from anonymized id to ground truth.
 
+``json.dumps`` with sorted keys, a two-space indent and ``ensure_ascii=False``
+is the one encoder of every file (``canonical_json_bytes``). ``trace_file``
+owns the layout of the two trace files: it encodes the top-level keys and
+appends the ``steps`` text of ``steps_json``, encoded once per trace and
+shared by its annotated and blind files. That text is the depth-0 encoding
+re-indented by two spaces, which is exact because JSON text holds no raw
+newline inside a string and ``"steps"`` sorts after every other top-level key.
+
 ``content_key`` names a trace by its content alone, so a trace and its blind
 copy share it; the methods that must not see the scenario id key by it.
 """
@@ -407,19 +415,50 @@ def canonical_json_bytes(obj: object) -> bytes:
     return (text + "\n").encode("utf-8")
 
 
+def steps_json(trace: ExecutionTrace) -> str:
+    """The trace's steps list in the canonical encoding, at depth 0 and
+    without the trailing newline: the part of a trace file that
+    ``trace_file`` takes ready-made, so that one encoding serves a trace's
+    annotated and blind files."""
+    return json.dumps(
+        [_step_to_obj(s) for s in trace.steps], sort_keys=True, indent=2, ensure_ascii=False
+    )
+
+
+def trace_file(
+    trace: ExecutionTrace,
+    steps: str,
+    scenario_id: str | None = None,
+    ground_truth: GroundTruth | None = None,
+) -> bytes:
+    """The canonical file of ``trace`` (``canonical_json_bytes`` of its
+    object), renamed to ``scenario_id`` when one is given and annotated with
+    ``ground_truth`` when one is given. ``steps`` is ``steps_json(trace)``,
+    re-indented to depth 1 and put last (the module docstring says why that
+    is exact)."""
+    head: dict = {
+        "scenario_id": trace.scenario_id if scenario_id is None else scenario_id,
+        "domain": trace.domain,
+        "agents": list(trace.agents),
+    }
+    if ground_truth is not None:
+        head["ground_truth"] = {
+            "error_node_id": ground_truth.error_node_id,
+            "root_cause_node_id": ground_truth.root_cause_node_id,
+            "bug_type": ground_truth.bug_type,
+            "bug_description": ground_truth.bug_description,
+        }
+    text = json.dumps(head, sort_keys=True, indent=2, ensure_ascii=False)
+    steps = steps.replace("\n", "\n  ")
+    return f'{text[:-2]},\n  "steps": {steps}\n}}\n'.encode("utf-8")
+
+
 def serialize_scenario(scenario: Scenario) -> bytes:
     """Canonical bytes such that ``parse_scenario`` round-trips identically."""
-    obj = trace_to_obj(scenario.trace)
-    gt = scenario.ground_truth
-    obj["ground_truth"] = {
-        "error_node_id": gt.error_node_id,
-        "root_cause_node_id": gt.root_cause_node_id,
-        "bug_type": gt.bug_type,
-        "bug_description": gt.bug_description,
-    }
-    return canonical_json_bytes(obj)
+    trace = scenario.trace
+    return trace_file(trace, steps_json(trace), ground_truth=scenario.ground_truth)
 
 
 def serialize_trace(trace: ExecutionTrace) -> bytes:
     """Canonical bytes for a blind (annotation-free) trace."""
-    return canonical_json_bytes(trace_to_obj(trace))
+    return trace_file(trace, steps_json(trace))

@@ -26,10 +26,8 @@ from array import array
 from dataclasses import dataclass, field
 
 from .features import FEATURE_GROUPS, FeatureConfig, compute_features, unit_weight
-from .graph import CausalGraph, backtrace, build_graph
+from .graph import DEFAULT_MAX_DEPTH, CausalGraph, backtrace, build_graph
 from .model import ExecutionTrace
-
-DEFAULT_MAX_DEPTH = 10
 
 GROUP_ORDER = tuple(FEATURE_GROUPS)
 

@@ -18,7 +18,7 @@ from tracefault.benchgen import (
 from tracefault.errors import TemplateExhausted, VerificationFailed
 from tracefault.features import FeatureConfig
 from tracefault.graph import build_graph, descendants
-from tracefault.model import DOMAINS, parse_trace_blind, serialize_scenario, serialize_trace
+from tracefault.model import DOMAINS, parse_trace_blind, serialize_scenario, steps_json, trace_file
 
 SMALL_COUNTS = {domain: 6 for domain in DOMAINS}
 
@@ -73,6 +73,7 @@ def test_verify_ground_truth_passes_for_generated(small_batch):
     for generated in small_batch:
         report = verify_ground_truth(generated)
         assert report["bug_present"] and report["counterfactual_clean"]
+        assert report["edge_kind_counts"] == build_graph(generated.trace).edge_kind_counts()
 
 
 def test_verify_detects_repointed_root(small_batch):
@@ -137,13 +138,13 @@ def test_mutations_differ_by_kind(small_batch):
 
 
 def test_blind_split_scrubs_and_joins(small_batch):
-    blind_traces, answers = make_blind([g.scenario for g in small_batch], salt="s3cret")
-    assert len(blind_traces) == len(small_batch) == len(answers)
-    for trace, generated in zip(blind_traces, small_batch):
-        data = serialize_trace(trace)
+    ids, answers = make_blind([g.scenario for g in small_batch], salt="s3cret")
+    assert len(ids) == len(small_batch) == len(answers)
+    for anon, generated in zip(ids, small_batch):
+        data = trace_file(generated.trace, steps_json(generated.trace), scenario_id=anon)
         assert b"ground_truth" not in data
         assert b"BUG" not in data
-        parse_trace_blind(data)  # blind files pass the leakage guard
+        trace = parse_trace_blind(data)  # blind files pass the leakage guard
         answer = answers[trace.scenario_id]
         assert answer["original_id"] == generated.trace.scenario_id
         assert answer["root_cause_node_id"] == generated.bug.bug_step
@@ -155,11 +156,12 @@ def test_blind_split_scrubs_and_joins(small_batch):
 def test_blind_ids_change_with_salt(small_batch):
     one, _ = make_blind([g.scenario for g in small_batch[:3]], salt="a")
     two, _ = make_blind([g.scenario for g in small_batch[:3]], salt="b")
-    assert {t.scenario_id for t in one}.isdisjoint({t.scenario_id for t in two})
+    assert set(one).isdisjoint(two)
 
 
 def test_manifest_summaries(small_batch):
-    manifest = benchmark_manifest(small_batch, seed=7)
+    edge_counts = [verify_ground_truth(g)["edge_kind_counts"] for g in small_batch]
+    manifest = benchmark_manifest(small_batch, edge_counts, seed=7)
     assert manifest["scenario_count"] == len(small_batch)
     assert manifest["trace_length_min"] >= 8
     assert manifest["trace_length_max"] <= 15

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ import tracefault
 from conftest import FIXTURES
 from tracefault import cli, ranking
 from tracefault.cli import main
-from tracefault.errors import TracefaultError
+from tracefault.errors import TracefaultError, VerificationFailed
 from tracefault.model import content_key, parse_scenario
 
 
@@ -399,6 +400,16 @@ def test_evaluate_malformed_llm_fixture_exits_3_naming_the_file(
     assert "Traceback" not in err
 
 
+def test_evaluate_without_llm_never_reads_the_llm_fixture(tmp_path, example1_bytes):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text('{"sof_example1": ')
+    argv = ["evaluate", str(tmp_path), "--methods", "tracefault", "--llm-fixture", str(fixture)]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+    assert "llm" not in json.loads((tmp_path / "out" / "metrics.json").read_text())["methods"]
+
+
 def test_evaluate_id_keyed_llm_fixture_exits_3_naming_the_file_and_key(
     tmp_path, example1_bytes, capsys
 ):
@@ -457,6 +468,14 @@ def test_analyze_never_loads_numpy(example1_path, tmp_path):
     assert "tracefault.ranking" in modules
     assert "numpy" not in modules
     for name in ("evaluation", "benchgen", "baselines", "weights", "stats"):
+        assert f"tracefault.{name}" not in modules
+
+
+def test_generate_never_loads_feature_or_ranking_code(tmp_path):
+    modules = modules_after_main(["generate", "--seed", "1", "--out", str(tmp_path / "bench")])
+    assert (tmp_path / "bench" / "manifest.json").exists()
+    assert "tracefault.benchgen" in modules
+    for name in ("features", "ranking", "evaluation", "baselines", "weights", "stats"):
         assert f"tracefault.{name}" not in modules
 
 
@@ -619,3 +638,73 @@ def test_blind_with_another_salt_replaces_the_blind_split(tmp_path):
     out_dir = tmp_path / "out"
     assert main(["evaluate", str(tmp_path), "--blind", "--out-dir", str(out_dir)]) == 0
     assert json.loads((out_dir / "metrics.json").read_text())["scenario_count"] == 3
+
+
+def test_generate_failing_partway_leaves_the_benchmark_as_it_was(
+    generated, tmp_path, monkeypatch, capsys
+):
+    # One run fails in verification, before anything is written; the other
+    # while staging the scenario split, once 300 files are in the staging
+    # directory. Either way every split keeps its old bytes and no staging
+    # directory is left beside them.
+    from tracefault import benchgen
+
+    bench = tmp_path / "bench"
+    shutil.copytree(generated(42), bench)
+    before = tree_sha256(bench)
+
+    def failing_at(call, original, exc):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == call:
+                raise exc
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            benchgen,
+            "verify_ground_truth",
+            failing_at(100, benchgen.verify_ground_truth, VerificationFailed("injected")),
+        )
+        assert main(["generate", "--seed", "7", "--out", str(bench)]) == 3
+    assert "error: injected" in capsys.readouterr().err
+    assert tree_sha256(bench) == before
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "trace_file", failing_at(300, cli.trace_file, OSError("injected")))
+        assert main(["generate", "--seed", "7", "--out", str(bench)]) == 3
+    assert "io error: injected" in capsys.readouterr().err
+    assert tree_sha256(bench) == before
+
+
+def test_output_files_take_the_umask(tmp_path, example1_bytes):
+    # Files are created with mode 0666 and directories with 0777, less the
+    # umask; a temporary file's 0600 must not leak into any output.
+    (tmp_path / "input.json").write_bytes(example1_bytes)
+    out = tmp_path / "out"
+    bench = out / "bench"
+    commands = [
+        ["generate", "--seed", "1", "--out", str(bench)],
+        ["blind", str(bench), "--salt", "other"],
+        ["analyze", str(tmp_path / "input.json"), "--out", str(out / "analysis.json")],
+        ["evaluate", str(bench), "--methods", "tracefault", "--out-dir", str(out / "eval")],
+        ["learn-weights", str(bench / "validation"), "--out", str(out / "weights.json")],
+    ]
+    old = os.umask(0o027)
+    try:
+        for argv in commands:
+            assert main(argv) == 0, argv[0]
+    finally:
+        os.umask(old)
+    modes = {
+        path.relative_to(out).as_posix(): stat.S_IMODE(path.stat().st_mode)
+        for path in out.rglob("*")
+    }
+    expected = {name: 0o750 if (out / name).is_dir() else 0o640 for name in modes}
+    assert modes == expected
+    for name in ("bench/scenarios", "bench/blind", "bench/answers.json", "eval/metrics.json"):
+        assert name in modes

@@ -216,8 +216,11 @@ def test_blind_and_annotated_units_agree_on_deterministic_methods(seed42_benchma
         # One fixture, keyed by content, serves both splits.
         adapter = FixtureAdapter(simulated_llm_fixture(benchmark))
         annotated = evaluate(scenarios, methods=METHODS, llm_adapter=adapter)
-        traces, answers = make_blind(scenarios, "parity")
-        blind_scenarios = (scenario_from_blind(trace, answers) for trace in traces)
+        ids, answers = make_blind(scenarios, "parity")
+        blind_scenarios = (
+            scenario_from_blind(dataclasses.replace(s.trace, scenario_id=anon), answers)
+            for anon, s in zip(ids, scenarios)
+        )
         blind = evaluate(blind_scenarios, methods=METHODS, llm_adapter=adapter)
         assert annotated["methods"].keys() == set(METHODS)
         for block in ("methods", "strata", "significance", "llm_error_analysis", "llm_fallbacks"):

@@ -5,6 +5,8 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracefault import model
 from tracefault.errors import InvariantViolation, MalformedJson, SchemaViolation
@@ -13,12 +15,15 @@ from tracefault.model import (
     GroundTruth,
     Scenario,
     Step,
+    canonical_json_bytes,
     content_key,
     parse_scenario,
     parse_trace,
     parse_trace_blind,
     serialize_scenario,
     serialize_trace,
+    steps_json,
+    trace_file,
     trace_to_obj,
 )
 
@@ -267,6 +272,53 @@ def test_blind_trace_serialization_round_trip():
     data = serialize_trace(trace)
     assert parse_trace_blind(data) == trace
     assert "ground_truth" not in json.loads(data)
+
+
+# Any text a UTF-8 file can hold: newlines, quotes, backslashes, control
+# and non-ASCII characters, U+2028; no surrogates.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+@st.composite
+def traces(draw):
+    agents = draw(st.lists(_TEXT, min_size=1, max_size=3, unique=True))
+    names = st.none() | st.lists(_TEXT, max_size=2).map(tuple)
+    steps = tuple(
+        Step(
+            step_id=i,
+            agent=draw(st.sampled_from(agents)),
+            action_type=draw(st.sampled_from(sorted(model.ACTION_TYPES))),
+            input=draw(_TEXT),
+            output=draw(_TEXT),
+            timestamp=draw(_TEXT),
+            confidence=draw(st.none() | st.floats(0.0, 1.0)),
+            produces=draw(names),
+            consumes=draw(names),
+        )
+        for i in range(1, draw(st.integers(1, 4)) + 1)
+    )
+    return ExecutionTrace(draw(_TEXT), draw(_TEXT), tuple(agents), steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=traces(), renamed=st.none() | _TEXT, description=st.none() | _TEXT)
+def test_trace_file_is_the_canonical_encoding_of_the_trace_object(trace, renamed, description):
+    # ``trace_file`` re-indents the depth-0 steps text; the reference encodes
+    # the whole object with ``canonical_json_bytes``.
+    obj = trace_to_obj(trace)
+    if renamed is not None:
+        obj["scenario_id"] = renamed
+    truth = None
+    if description is not None:
+        truth = GroundTruth(len(trace), 1, "logic_error", description)
+        obj["ground_truth"] = {
+            "error_node_id": len(trace),
+            "root_cause_node_id": 1,
+            "bug_type": "logic_error",
+            "bug_description": description,
+        }
+    expected = canonical_json_bytes(obj)
+    assert trace_file(trace, steps_json(trace), renamed, truth) == expected
 
 
 def test_agent_not_in_roster_rejected():
