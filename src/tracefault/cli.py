@@ -7,8 +7,10 @@ No subcommand mutates its inputs, so reruns are idempotent, and no output
 is ever seen half-written. A single output file is written to a temporary
 sibling, then renamed over its target. A split directory is replaced whole:
 its files are created in a fresh sibling directory, the old split is renamed
-aside, the staged one is renamed into its place and the old one is deleted.
-Files are created with mode 0666 less the umask.
+aside, the staged one is renamed into its place and the old one is deleted,
+with every file and directory in it, not only its ``*.json`` files. A split
+that is a symbolic link is replaced at the link's target. Files are created
+with mode 0666 less the umask.
 
 ``generate`` owns the split directories ``scenarios/``, ``blind/`` and
 ``validation/`` of its output, and ``blind`` owns ``blind/`` of its own: a
@@ -130,9 +132,12 @@ def _write_split(directory: Path, files) -> None:
 
     The files are created in a fresh sibling directory, which takes the
     split's place by two renames: the old split moves aside, the staged one
-    moves in, and the old one is deleted. On a failure before the swap is
-    done, the staged directory is deleted and the old split stays in place.
+    moves in, and the old one is deleted with everything in it. On a failure
+    before the swap is done, the staged directory is deleted and the old
+    split stays in place. A split that is a symbolic link is replaced at the
+    link's target, and the link stays.
     """
+    directory = directory.resolve()
     directory.parent.mkdir(parents=True, exist_ok=True)
     staged = _sibling(directory)
     os.mkdir(staged)
@@ -141,13 +146,16 @@ def _write_split(directory: Path, files) -> None:
         for name, data in files:
             _create(staged / name, data)
         if directory.is_dir():
-            aside = _sibling(directory)
-            os.rename(directory, aside)
+            moving = _sibling(directory)
+            os.rename(directory, moving)
+            aside = moving
         os.rename(staged, directory)
     except BaseException:
-        if aside is not None:
-            os.rename(aside, directory)
-        shutil.rmtree(staged)
+        try:
+            if aside is not None:
+                os.rename(aside, directory)
+        finally:
+            shutil.rmtree(staged, ignore_errors=True)
         raise
     if aside is not None:
         shutil.rmtree(aside)

@@ -1,6 +1,7 @@
 """CLI exit codes: 3 for unreadable input (naming the file), 2 for usage errors,
 plus the subcommands' outputs and the modules they load."""
 
+import errno
 import hashlib
 import inspect
 import json
@@ -643,10 +644,11 @@ def test_blind_with_another_salt_replaces_the_blind_split(tmp_path):
 def test_generate_failing_partway_leaves_the_benchmark_as_it_was(
     generated, tmp_path, monkeypatch, capsys
 ):
-    # One run fails in verification, before anything is written; the other
-    # while staging the scenario split, once 300 files are in the staging
-    # directory. Either way every split keeps its old bytes and no staging
-    # directory is left beside them.
+    # One run fails in verification, before anything is written; one while
+    # staging the scenario split, once 300 files are in the staging
+    # directory; one when the old scenario split cannot be moved aside.
+    # Each time every split keeps its old bytes, no staging directory is
+    # left beside them and the error reported is the one that happened.
     from tracefault import benchgen
 
     bench = tmp_path / "bench"
@@ -679,6 +681,28 @@ def test_generate_failing_partway_leaves_the_benchmark_as_it_was(
         assert main(["generate", "--seed", "7", "--out", str(bench)]) == 3
     assert "io error: injected" in capsys.readouterr().err
     assert tree_sha256(bench) == before
+
+    with monkeypatch.context() as patch:
+        busy = OSError(errno.EBUSY, "injected busy")
+        patch.setattr(os, "rename", failing_at(1, os.rename, busy))
+        assert main(["generate", "--seed", "7", "--out", str(bench)]) == 3
+    assert "io error: [Errno 16] injected busy" in capsys.readouterr().err
+    assert tree_sha256(bench) == before
+
+
+def test_generate_into_a_symlinked_split_replaces_the_link_target(generated, tmp_path):
+    bench = tmp_path / "bench"
+    shutil.copytree(generated(42), bench)
+    target = tmp_path / "elsewhere"
+    (bench / "scenarios").rename(target)
+    (target / "notes.txt").write_text("kept by hand\n")
+    (bench / "scenarios").symlink_to(target)
+    assert main(["generate", "--seed", "7", "--out", str(bench)]) == 0
+    assert (bench / "scenarios").is_symlink()
+    assert (bench / "scenarios").resolve() == target.resolve()
+    assert split_files(bench, "scenarios") == split_files(generated(7), "scenarios")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench", "elsewhere"]
+    assert tree_sha256(bench) == tree_sha256(generated(7))
 
 
 def test_output_files_take_the_umask(tmp_path, example1_bytes):
