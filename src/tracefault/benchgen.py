@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Iterable
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 from .errors import TemplateExhausted, VerificationFailed
@@ -92,18 +91,41 @@ MUTATION_OF_BUG_TYPE = {
 _CASCADE_NOTE = "Carried {artifact} forward; downstream totals remain unreconciled."
 
 
-@dataclass(frozen=True)
 class DomainTemplate:
-    domain: str
-    code: str
-    agents: tuple[str, ...]
-    # Block order as roster indices; repeats model review/feedback loops.
-    block_order: tuple[int, ...]
-    action_types: tuple[str, ...]
-    artifacts: tuple[str, ...]
-    verbs: tuple[str, ...]
-    task: str
-    final_action: str
+    __slots__ = (
+        "domain",
+        "code",
+        "agents",
+        "block_order",
+        "action_types",
+        "artifacts",
+        "verbs",
+        "task",
+        "final_action",
+    )
+
+    def __init__(
+        self,
+        domain: str,
+        code: str,
+        agents: tuple[str, ...],
+        # Block order as roster indices; repeats model review/feedback loops.
+        block_order: tuple[int, ...],
+        action_types: tuple[str, ...],
+        artifacts: tuple[str, ...],
+        verbs: tuple[str, ...],
+        task: str,
+        final_action: str,
+    ) -> None:
+        self.domain = domain
+        self.code = code
+        self.agents = agents
+        self.block_order = block_order
+        self.action_types = action_types
+        self.artifacts = artifacts
+        self.verbs = verbs
+        self.task = task
+        self.final_action = final_action
 
 
 DOMAIN_TEMPLATES: dict[str, DomainTemplate] = {
@@ -308,33 +330,36 @@ _HEDGES = ("this reading is somewhat provisional", "the margin here is roughly e
 _BASE_TIME = datetime(2026, 1, 12, 9, 0, 0)
 
 
-@dataclass(frozen=True)
 class BugSpec:
-    bug_type: str
-    location_bucket: str
-    mutation_kind: str
-    bug_step: int
+    __slots__ = ("bug_type", "location_bucket", "mutation_kind", "bug_step")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, bug_type: str, location_bucket: str, mutation_kind: str, bug_step: int
+    ) -> None:
         bucket_ok = {
-            "early": self.bug_step in (2, 3),
-            "middle": 4 <= self.bug_step <= 6,
-            "late": self.bug_step >= 7,
-        }[self.location_bucket]
+            "early": bug_step in (2, 3),
+            "middle": 4 <= bug_step <= 6,
+            "late": bug_step >= 7,
+        }[location_bucket]
         if not bucket_ok:
             raise TemplateExhausted(
-                f"bug step {self.bug_step} inconsistent with bucket "
-                f"{self.location_bucket!r}"
+                f"bug step {bug_step} inconsistent with bucket {location_bucket!r}"
             )
+        self.bug_type = bug_type
+        self.location_bucket = location_bucket
+        self.mutation_kind = mutation_kind
+        self.bug_step = bug_step
 
 
-@dataclass(frozen=True)
 class GeneratedScenario:
     """A benchmark scenario plus the pre-injection twin and injection metadata."""
 
-    scenario: Scenario
-    correct_steps: tuple[Step, ...]
-    bug: BugSpec
+    __slots__ = ("scenario", "correct_steps", "bug")
+
+    def __init__(self, scenario: Scenario, correct_steps: tuple[Step, ...], bug: BugSpec) -> None:
+        self.scenario = scenario
+        self.correct_steps = correct_steps
+        self.bug = bug
 
     @property
     def trace(self) -> ExecutionTrace:

@@ -31,7 +31,9 @@ Exit codes: 0 success, 1 failed ``--check`` thresholds, 2 usage errors,
 Each subcommand imports the modules that only it uses, so ``analyze`` loads
 the model, graph, features and ranking modules and none of the benchmark,
 evaluation, baseline or statistics code, and ``generate`` loads no feature
-or ranking code.
+or ranking code. Start-up is most of a one-trace ``analyze``, so no
+subcommand loads ``dataclasses`` or ``inspect``: the records are plain
+classes with ``__slots__``, whose definition runs no generated code.
 """
 
 from __future__ import annotations

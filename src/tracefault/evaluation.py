@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .baselines import (
     classify_llm_error,
@@ -117,7 +116,6 @@ def scenario_from_blind(trace: ExecutionTrace, answers: dict) -> Scenario:
         raise type(exc)(f"answer key entry {trace.scenario_id!r}: {exc}") from None
 
 
-@dataclass(frozen=True, slots=True)
 class ScenarioRecord:
     """What an evaluation keeps of one scenario once its trace is dropped.
 
@@ -128,13 +126,33 @@ class ScenarioRecord:
     whether its completion fell back, and how its rank-1 pick missed.
     """
 
-    root_cause: int
-    strata: tuple[str, ...]
-    ranks: tuple[int | None, ...]
-    timings_ms: dict[str, float] | None
-    table: FeatureTable | None
-    llm_fell_back: bool
-    llm_error: str | None
+    __slots__ = (
+        "root_cause",
+        "strata",
+        "ranks",
+        "timings_ms",
+        "table",
+        "llm_fell_back",
+        "llm_error",
+    )
+
+    def __init__(
+        self,
+        root_cause: int,
+        strata: tuple[str, ...],
+        ranks: tuple[int | None, ...],
+        timings_ms: dict[str, float] | None,
+        table: FeatureTable | None,
+        llm_fell_back: bool,
+        llm_error: str | None,
+    ) -> None:
+        self.root_cause = root_cause
+        self.strata = strata
+        self.ranks = ranks
+        self.timings_ms = timings_ms
+        self.table = table
+        self.llm_fell_back = llm_fell_back
+        self.llm_error = llm_error
 
 
 def _accuracy(ranks) -> dict:

@@ -35,7 +35,6 @@ import json
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field, fields
 
 from .graph import CandidateSet, CausalGraph, betweenness, descendants, longest_path_depth
 from .model import ExecutionTrace
@@ -137,6 +136,7 @@ ROLE_CLASS_WEIGHTS: tuple[tuple[float, tuple[str, ...]], ...] = (
 DEFAULT_ROLE_WEIGHT = 0.5
 
 KEYWORD_FIELDS = ("error_keywords", "uncertainty_keywords", "hedge_words")
+CONFIG_FIELDS = KEYWORD_FIELDS + ("role_weights", "default_role_weight", "orientation")
 
 _WORD_RE = re.compile(r"[a-z0-9_]+")
 
@@ -157,35 +157,54 @@ def default_role_weights() -> dict[str, float]:
     return weights
 
 
-@dataclass(frozen=True)
 class FeatureConfig:
-    """Keyword lists, role weights, and per-feature orientation."""
+    """Keyword lists, role weights, and per-feature orientation.
 
-    error_keywords: tuple[str, ...] = DEFAULT_ERROR_KEYWORDS
-    uncertainty_keywords: tuple[str, ...] = DEFAULT_UNCERTAINTY_KEYWORDS
-    hedge_words: tuple[str, ...] = DEFAULT_HEDGE_WORDS
-    role_weights: dict[str, float] = field(default_factory=default_role_weights)
-    default_role_weight: float = DEFAULT_ROLE_WEIGHT
-    orientation: dict[str, int] = field(default_factory=lambda: dict(DEFAULT_ORIENTATION))
+    ``role_weights`` and ``orientation`` default to fresh copies of the
+    defaults. Role names are lower case, as ``role_weight`` looks them up.
+    """
 
-    def __post_init__(self) -> None:
-        for name in KEYWORD_FIELDS:
-            keywords = getattr(self, name)
+    __slots__ = CONFIG_FIELDS
+
+    def __init__(
+        self,
+        error_keywords: tuple[str, ...] = DEFAULT_ERROR_KEYWORDS,
+        uncertainty_keywords: tuple[str, ...] = DEFAULT_UNCERTAINTY_KEYWORDS,
+        hedge_words: tuple[str, ...] = DEFAULT_HEDGE_WORDS,
+        role_weights: dict[str, float] | None = None,
+        default_role_weight: float = DEFAULT_ROLE_WEIGHT,
+        orientation: dict[str, int] | None = None,
+    ) -> None:
+        if role_weights is None:
+            role_weights = default_role_weights()
+        if orientation is None:
+            orientation = dict(DEFAULT_ORIENTATION)
+        for name, keywords in zip(
+            KEYWORD_FIELDS, (error_keywords, uncertainty_keywords, hedge_words)
+        ):
             if not isinstance(keywords, tuple) or not all(isinstance(k, str) for k in keywords):
                 raise ValueError(f"{name} must be a list of strings")
-        for name, weight in self.role_weights.items():
+        for name, weight in role_weights.items():
+            if not isinstance(name, str) or name != name.lower():
+                raise ValueError(f"role weight for {name!r}: role names must be lower case")
             unit_weight(f"role weight for {name!r}", weight)
-        unit_weight("default_role_weight", self.default_role_weight)
-        missing = set(ALL_FEATURES) - set(self.orientation)
+        unit_weight("default_role_weight", default_role_weight)
+        missing = set(ALL_FEATURES) - set(orientation)
         if missing:
             raise ValueError(f"orientation missing for features: {sorted(missing)}")
-        unknown = set(self.orientation) - set(ALL_FEATURES)
+        unknown = set(orientation) - set(ALL_FEATURES)
         if unknown:
             raise ValueError(f"orientation for unknown features: {sorted(unknown)}")
-        for name, sign in self.orientation.items():
+        for name, sign in orientation.items():
             # ``type`` rather than ``isinstance``: ``True == 1`` is no sign.
             if type(sign) is not int or sign not in (-1, 1):
                 raise ValueError(f"orientation for {name!r} must be +1 or -1")
+        self.error_keywords = error_keywords
+        self.uncertainty_keywords = uncertainty_keywords
+        self.hedge_words = hedge_words
+        self.role_weights = role_weights
+        self.default_role_weight = default_role_weight
+        self.orientation = orientation
 
     def role_weight(self, agent: str) -> float:
         return self.role_weights.get(agent.lower(), self.default_role_weight)
@@ -206,7 +225,7 @@ class FeatureConfig:
 
     @staticmethod
     def from_obj(obj: dict) -> "FeatureConfig":
-        unknown = set(obj) - {f.name for f in fields(FeatureConfig)}
+        unknown = set(obj) - set(CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown keys: {sorted(unknown)}")
         orientation = dict(DEFAULT_ORIENTATION)

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import NodeNotFound
 from .model import ExecutionTrace
@@ -53,21 +51,33 @@ _STOP_WORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class CausalGraph:
     """DAG over step ids held as bitsets (see module docstring)."""
 
-    nodes: tuple[int, ...]
-    parents: tuple[dict[int, int], ...] = field(repr=False)
-    preds: dict[int, int] = field(repr=False, compare=False)
-    succs: dict[int, int] = field(repr=False, compare=False)
+    __slots__ = ("nodes", "parents", "preds", "succs", "_ancestry")
 
-    @cached_property
+    def __init__(
+        self,
+        nodes: tuple[int, ...],
+        parents: tuple[dict[int, int], ...],
+        preds: dict[int, int],
+        succs: dict[int, int],
+    ) -> None:
+        self.nodes = nodes
+        self.parents = parents
+        self.preds = preds
+        self.succs = succs
+        self._ancestry: tuple[dict[int, int], dict[int, int]] | None = None
+
+    @property
     def ancestry(self) -> tuple[dict[int, int], dict[int, int]]:
         """Ancestor mask (``v`` included) and longest-path depth of every
-        node, swept once per graph and shared by ``longest_path_depth`` and
-        ``betweenness``; callers must not mutate them. A predecessor inside
-        the mask of a higher one is its ancestor: skipped."""
+        node, swept on first access, kept for the graph's lifetime and shared
+        by ``longest_path_depth`` and ``betweenness``; callers must not mutate
+        them. A predecessor inside the mask of a higher one is its ancestor:
+        skipped."""
+        if self._ancestry is not None:
+            return self._ancestry
         closed: dict[int, int] = {}
         depth: dict[int, int] = {}
         for v in self.nodes:
@@ -78,7 +88,8 @@ class CausalGraph:
                 d = max(d, depth[u] + 1)
                 rest &= ~mask
             closed[v], depth[v] = mask, d
-        return closed, depth
+        self._ancestry = closed, depth
+        return self._ancestry
 
     @property
     def edges(self) -> tuple[tuple[int, int, str], ...]:
@@ -204,7 +215,6 @@ def build_graph(trace: ExecutionTrace) -> CausalGraph:
     return CausalGraph(tuple(ids), parents, preds, succs)
 
 
-@dataclass(frozen=True)
 class CandidateSet:
     """Result of backward tracing: members plus their BFS discovery layer.
 
@@ -212,8 +222,11 @@ class CandidateSet:
     ``distance_to_error`` feature reads it from ``depth_of``.
     """
 
-    members: frozenset[int]
-    depth_of: dict[int, int] = field(compare=False)
+    __slots__ = ("members", "depth_of")
+
+    def __init__(self, members: frozenset[int], depth_of: dict[int, int]) -> None:
+        self.members = members
+        self.depth_of = depth_of
 
 
 DEFAULT_MAX_DEPTH = 10

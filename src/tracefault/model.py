@@ -3,8 +3,10 @@
 A scenario couples one multi-agent execution trace with its ground-truth
 annotation (where the failure manifested, which step actually caused it).
 Traces are ordered by ``step_id``; timestamps are carried verbatim but never
-interpreted. All types are immutable after construction and safe to share
-across threads; parsing and serialization are pure functions.
+interpreted. The records are plain classes with ``__slots__`` whose
+constructors run every check; nothing in the package assigns to a record
+after construction, so a record stays as it was checked. Parsing and
+serialization are pure functions.
 
 On-disk formats (UTF-8, newline-terminated, sorted keys), as ``generate``
 lays them out:
@@ -31,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, MalformedJson, SchemaViolation
 
@@ -73,52 +74,94 @@ DOMAINS = (
 )
 
 
-@dataclass(frozen=True)
+def _same_fields(record, other) -> bool:
+    """``==`` of two model records: the same class and equal fields, so that a
+    parsed file compares equal to the record it was written from."""
+    if type(other) is not type(record):
+        return NotImplemented
+    return all(
+        getattr(record, name) == getattr(other, name)
+        for name in record.__slots__
+        if name != "__weakref__"
+    )
+
+
 class Step:
     """One agent action: who did what, with what input/output text.
 
     ``produces``/``consumes`` are optional lists of artifact (variable) names
     that make data dependencies explicit; when absent, graph construction
-    falls back to an identifier scan of the step text.
+    falls back to an identifier scan of the step text. A boolean is no
+    ``step_id`` or ``confidence``: the parser would not read it back.
     """
 
-    step_id: int
-    agent: str
-    action_type: str
-    input: str
-    output: str
-    timestamp: str
-    confidence: float | None = None
-    produces: tuple[str, ...] | None = None
-    consumes: tuple[str, ...] | None = None
+    __slots__ = (
+        "step_id",
+        "agent",
+        "action_type",
+        "input",
+        "output",
+        "timestamp",
+        "confidence",
+        "produces",
+        "consumes",
+    )
+    __eq__ = _same_fields
 
-    def __post_init__(self) -> None:
-        if self.step_id < 1:
-            raise InvariantViolation(f"steps[{self.step_id}].step_id must be >= 1")
-        if self.action_type not in ACTION_TYPES:
+    def __init__(
+        self,
+        step_id: int,
+        agent: str,
+        action_type: str,
+        input: str,
+        output: str,
+        timestamp: str,
+        confidence: float | None = None,
+        produces: tuple[str, ...] | None = None,
+        consumes: tuple[str, ...] | None = None,
+    ) -> None:
+        if not isinstance(step_id, int) or isinstance(step_id, bool):
+            raise SchemaViolation(f"step_id: expected {int}, got {type(step_id).__name__}")
+        if step_id < 1:
+            raise InvariantViolation(f"steps[{step_id}].step_id must be >= 1")
+        if action_type not in ACTION_TYPES:
             raise SchemaViolation(
-                f"steps[{self.step_id}].action_type: unknown value {self.action_type!r}"
+                f"steps[{step_id}].action_type: unknown value {action_type!r}"
             )
-        if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
-            raise InvariantViolation(
-                f"steps[{self.step_id}].confidence must lie in [0, 1], got {self.confidence}"
-            )
+        if confidence is not None:
+            if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+                raise SchemaViolation(f"steps[{step_id}].confidence: expected number")
+            if not 0.0 <= confidence <= 1.0:
+                raise InvariantViolation(
+                    f"steps[{step_id}].confidence must lie in [0, 1], got {confidence}"
+                )
+        self.step_id = step_id
+        self.agent = agent
+        self.action_type = action_type
+        self.input = input
+        self.output = output
+        self.timestamp = timestamp
+        self.confidence = confidence
+        self.produces = produces
+        self.consumes = consumes
 
 
-@dataclass(frozen=True)
 class ExecutionTrace:
-    """Ordered sequence of steps plus the agent roster; the unit of analysis."""
+    """Ordered sequence of steps plus the agent roster; the unit of analysis.
 
-    scenario_id: str
-    domain: str
-    agents: tuple[str, ...]
-    steps: tuple[Step, ...]
+    A trace takes weak references, so a caller can tell when a streamed
+    trace has been freed."""
 
-    def __post_init__(self) -> None:
-        if not self.steps:
+    __slots__ = ("scenario_id", "domain", "agents", "steps", "__weakref__")
+    __eq__ = _same_fields
+
+    def __init__(
+        self, scenario_id: str, domain: str, agents: tuple[str, ...], steps: tuple[Step, ...]
+    ) -> None:
+        if not steps:
             raise InvariantViolation("trace must contain at least one step")
-        roster = set(self.agents)
-        for i, step in enumerate(self.steps):
+        roster = set(agents)
+        for i, step in enumerate(steps):
             if step.step_id != i + 1:
                 raise InvariantViolation(
                     f"steps[{i}].step_id: expected contiguous 1-based ids, got {step.step_id}"
@@ -127,6 +170,10 @@ class ExecutionTrace:
                 raise InvariantViolation(
                     f"steps[{i}].agent: {step.agent!r} not in agents roster"
                 )
+        self.scenario_id = scenario_id
+        self.domain = domain
+        self.agents = agents
+        self.steps = steps
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -135,45 +182,48 @@ class ExecutionTrace:
         return self.steps[step_id - 1]
 
 
-@dataclass(frozen=True)
 class GroundTruth:
     """Where the failure surfaced and which step is the true root cause."""
 
-    error_node_id: int
-    root_cause_node_id: int
-    bug_type: str
-    bug_description: str
+    __slots__ = ("error_node_id", "root_cause_node_id", "bug_type", "bug_description")
+    __eq__ = _same_fields
 
-    def __post_init__(self) -> None:
-        if self.bug_type not in BUG_TYPES:
-            raise SchemaViolation(f"ground_truth.bug_type: unknown value {self.bug_type!r}")
-        if self.root_cause_node_id > self.error_node_id:
+    def __init__(
+        self, error_node_id: int, root_cause_node_id: int, bug_type: str, bug_description: str
+    ) -> None:
+        if bug_type not in BUG_TYPES:
+            raise SchemaViolation(f"ground_truth.bug_type: unknown value {bug_type!r}")
+        if root_cause_node_id > error_node_id:
             raise InvariantViolation(
                 "ground_truth.root_cause_node_id "
-                f"({self.root_cause_node_id}) must not exceed error_node_id "
-                f"({self.error_node_id})"
+                f"({root_cause_node_id}) must not exceed error_node_id "
+                f"({error_node_id})"
             )
+        self.error_node_id = error_node_id
+        self.root_cause_node_id = root_cause_node_id
+        self.bug_type = bug_type
+        self.bug_description = bug_description
 
 
-@dataclass(frozen=True)
 class Scenario:
     """Benchmark unit: a trace and its ground truth, ids resolved."""
 
-    trace: ExecutionTrace
-    ground_truth: GroundTruth
+    __slots__ = ("trace", "ground_truth")
+    __eq__ = _same_fields
 
-    def __post_init__(self) -> None:
-        n = len(self.trace)
-        gt = self.ground_truth
+    def __init__(self, trace: ExecutionTrace, ground_truth: GroundTruth) -> None:
+        n = len(trace)
         for name, value in (
-            ("error_node_id", gt.error_node_id),
-            ("root_cause_node_id", gt.root_cause_node_id),
+            ("error_node_id", ground_truth.error_node_id),
+            ("root_cause_node_id", ground_truth.root_cause_node_id),
         ):
             if not 1 <= value <= n:
                 raise InvariantViolation(
                     f"ground_truth.{name}: {value} does not resolve within the "
                     f"{n}-step trace"
                 )
+        self.trace = trace
+        self.ground_truth = ground_truth
 
 
 _STEP_TEXT = ("agent", "action_type", "input", "output", "timestamp")

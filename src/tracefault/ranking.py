@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass, field
 
 from .features import FEATURE_GROUPS, FeatureConfig, compute_features, unit_weight
 from .graph import DEFAULT_MAX_DEPTH, CausalGraph, backtrace, build_graph
@@ -32,22 +31,30 @@ from .model import ExecutionTrace
 GROUP_ORDER = tuple(FEATURE_GROUPS)
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """Group weights in [0, 1] summing to one."""
 
-    position: float = 0.70
-    structure: float = 0.20
-    content: float = 0.05
-    flow: float = 0.03
-    confidence: float = 0.02
+    __slots__ = GROUP_ORDER
 
-    def __post_init__(self) -> None:
-        for name, value in self.as_dict().items():
+    def __init__(
+        self,
+        position: float = 0.70,
+        structure: float = 0.20,
+        content: float = 0.05,
+        flow: float = 0.03,
+        confidence: float = 0.02,
+    ) -> None:
+        values = (position, structure, content, flow, confidence)
+        for name, value in zip(GROUP_ORDER, values):
             unit_weight(f"weight {name}", value)
-        total = sum(self.as_tuple())
+        total = sum(values)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1 (got {total!r})")
+        self.position = position
+        self.structure = structure
+        self.content = content
+        self.flow = flow
+        self.confidence = confidence
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(GROUP_ORDER, self.as_tuple()))
@@ -75,7 +82,6 @@ class WeightVector:
         return WeightVector(w_position, *(w * scale for w in rest))
 
 
-@dataclass(frozen=True)
 class RankedDiagnosis:
     """A ``FeatureTable`` scored under one weight vector.
 
@@ -85,10 +91,19 @@ class RankedDiagnosis:
     candidate's group scores and weighted contributions from the table rows.
     """
 
-    table: FeatureTable = field(compare=False, repr=False)
-    weights: WeightVector
-    ranked: tuple[tuple[float, int], ...]
-    timings_ms: dict[str, float] = field(compare=False, default_factory=dict)
+    __slots__ = ("table", "weights", "ranked", "timings_ms")
+
+    def __init__(
+        self,
+        table: FeatureTable,
+        weights: WeightVector,
+        ranked: tuple[tuple[float, int], ...],
+        timings_ms: dict[str, float] | None = None,
+    ) -> None:
+        self.table = table
+        self.weights = weights
+        self.ranked = ranked
+        self.timings_ms = {} if timings_ms is None else timings_ms
 
     def rank_of(self, step_id: int) -> int | None:
         for rank, (_, v) in enumerate(self.ranked, 1):
@@ -120,7 +135,6 @@ class RankedDiagnosis:
         }
 
 
-@dataclass(frozen=True)
 class FeatureTable:
     """One trace reduced to what scoring needs: the anchor, the candidate
     step ids (ascending) and their group scores, plus the feature config and
@@ -131,12 +145,23 @@ class FeatureTable:
     scores any number of weight vectors without recomputing features.
     """
 
-    scenario_id: str
-    anchor: int
-    step_ids: tuple[int, ...]
-    groups: array
-    config: FeatureConfig = field(compare=False)
-    timings_ms: dict[str, float] = field(compare=False, default_factory=dict)
+    __slots__ = ("scenario_id", "anchor", "step_ids", "groups", "config", "timings_ms")
+
+    def __init__(
+        self,
+        scenario_id: str,
+        anchor: int,
+        step_ids: tuple[int, ...],
+        groups: array,
+        config: FeatureConfig,
+        timings_ms: dict[str, float] | None = None,
+    ) -> None:
+        self.scenario_id = scenario_id
+        self.anchor = anchor
+        self.step_ids = step_ids
+        self.groups = groups
+        self.config = config
+        self.timings_ms = {} if timings_ms is None else timings_ms
 
     def scores(self, weights: WeightVector) -> list[float]:
         """Candidate scores in ``step_ids`` order, each summed left to right

@@ -24,6 +24,14 @@ def scenarios(seed42_benchmark):
     return [g.scenario for g in seed42_benchmark]
 
 
+def replace(record, **changes):
+    """A copy of ``record`` with ``changes``, rebuilt through its constructor
+    and so through its checks, as ``dataclasses.replace`` rebuilds one."""
+    names = [name for name in type(record).__slots__ if not name.startswith("_")]
+    fields = {name: getattr(record, name) for name in names}
+    return type(record)(**{**fields, **changes})
+
+
 def bench_trace(n: int) -> ExecutionTrace:
     """Bug-free trace of ``n`` steps; a fixed stream, as the ranking golden hashes it."""
     template = DOMAIN_TEMPLATES["software_development"]

@@ -1,10 +1,10 @@
 """Baseline prediction contracts and the completion adapter protocol."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
+from conftest import replace
 from tracefault.baselines import (
     FixtureAdapter,
     classify_llm_error,

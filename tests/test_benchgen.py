@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import bench_trace
+from conftest import bench_trace, replace
 from tracefault.benchgen import (
     DEFAULT_COUNTS,
     DOMAIN_TEMPLATES,
@@ -77,8 +77,6 @@ def test_verify_ground_truth_passes_for_generated(small_batch):
 
 
 def test_verify_detects_repointed_root(small_batch):
-    from dataclasses import replace
-
     generated = small_batch[0]
     gt = generated.scenario.ground_truth
     # Move the root onto the next step, a cascade step when one exists before

@@ -464,10 +464,15 @@ def modules_after_main(argv) -> set[str]:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+# Costly to import, and the records need neither.
+COLD_START_FREE = ("dataclasses", "inspect")
+
+
 def test_analyze_never_loads_numpy(example1_path, tmp_path):
     modules = modules_after_main(["analyze", str(example1_path), "--out", str(tmp_path / "a.json")])
     assert "tracefault.ranking" in modules
     assert "numpy" not in modules
+    assert not modules.intersection(COLD_START_FREE)
     for name in ("evaluation", "benchgen", "baselines", "weights", "stats"):
         assert f"tracefault.{name}" not in modules
 
@@ -478,6 +483,16 @@ def test_generate_never_loads_feature_or_ranking_code(tmp_path):
     assert "tracefault.benchgen" in modules
     for name in ("features", "ranking", "evaluation", "baselines", "weights", "stats"):
         assert f"tracefault.{name}" not in modules
+    assert not modules.intersection(COLD_START_FREE)
+
+
+def test_blind_loads_no_cold_start_module(tmp_path, example1_bytes):
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "example1.json").write_bytes(example1_bytes)
+    modules = modules_after_main(["blind", str(tmp_path)])
+    assert (tmp_path / "answers.json").exists()
+    assert "tracefault.benchgen" in modules
+    assert not modules.intersection(COLD_START_FREE)
 
 
 def test_evaluate_never_loads_benchgen(tmp_path, example1_bytes):
@@ -501,6 +516,7 @@ def test_evaluate_never_loads_numpy(tmp_path, example1_bytes):
     assert all("hit_at_1_ci95" in block for block in metrics["methods"].values())
     assert "tracefault.stats" in modules
     assert "numpy" not in modules
+    assert not modules.intersection(COLD_START_FREE)
 
 
 def test_learn_weights_never_loads_numpy(tmp_path, example1_bytes, example2_bytes):
@@ -513,6 +529,7 @@ def test_learn_weights_never_loads_numpy(tmp_path, example1_bytes, example2_byte
     assert json.loads(out.read_text())["evaluated_points"] > 0
     assert "tracefault.weights" in modules
     assert "numpy" not in modules
+    assert not modules.intersection(COLD_START_FREE)
 
 
 # SHA-256 of the weights.json that ``learn-weights`` writes from the

@@ -1,6 +1,5 @@
 """Evaluation scores every weight vector from one feature table per trace."""
 
-import dataclasses
 import gc
 import itertools
 import json
@@ -10,7 +9,7 @@ import pytest
 
 import tracefault.evaluation as evaluation
 import tracefault.ranking as ranking
-from conftest import simulated_llm_fixture
+from conftest import replace, simulated_llm_fixture
 from tracefault.baselines import FixtureAdapter, last_node_baseline
 from tracefault.benchgen import generate_benchmark, make_blind
 from tracefault.evaluation import (
@@ -218,7 +217,7 @@ def test_blind_and_annotated_units_agree_on_deterministic_methods(seed42_benchma
         annotated = evaluate(scenarios, methods=METHODS, llm_adapter=adapter)
         ids, answers = make_blind(scenarios, "parity")
         blind_scenarios = (
-            scenario_from_blind(dataclasses.replace(s.trace, scenario_id=anon), answers)
+            scenario_from_blind(replace(s.trace, scenario_id=anon), answers)
             for anon, s in zip(ids, scenarios)
         )
         blind = evaluate(blind_scenarios, methods=METHODS, llm_adapter=adapter)
@@ -246,7 +245,7 @@ def test_evaluate_drops_each_trace_before_requesting_the_next(sample):
                 gc.collect()
                 dead_before_next.append(refs[-1]() is None)
             # A fresh trace per scenario, which nothing but the scenario refers to.
-            fresh = dataclasses.replace(
+            fresh = replace(
                 scenario, trace=parse_trace_blind(serialize_trace(scenario.trace))
             )
             refs.append(weakref.ref(fresh.trace))

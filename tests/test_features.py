@@ -1,9 +1,8 @@
 """Feature formulas, normalization algebra, and group aggregation."""
 
-from dataclasses import replace
-
 import pytest
 
+from conftest import replace
 from tracefault.features import (
     ALL_FEATURES,
     DEFAULT_ORIENTATION,
@@ -11,6 +10,7 @@ from tracefault.features import (
     FEATURE_GROUPS,
     FeatureConfig,
     compute_features,
+    default_role_weights,
     extract_raw,
     group_scores,
     normalize,
@@ -308,6 +308,17 @@ def test_config_validation():
         FeatureConfig(error_keywords="error")
     with pytest.raises(ValueError, match="unknown keys"):
         FeatureConfig.from_obj({"error_keyword": ["x"]})
+
+
+def test_role_names_must_be_lower_case():
+    """``role_weight`` looks up the lower-cased agent name, so a weight under
+    another case would be ignored without a word."""
+    with pytest.raises(ValueError, match="role weight for 'Planner': role names must be lower case"):
+        FeatureConfig(role_weights={"Planner": 0.1})
+    loaded = FeatureConfig.from_obj({"role_weights": {"Planner": 0.1}})
+    assert loaded.role_weight("Planner") == 0.1
+    direct = FeatureConfig(role_weights={**default_role_weights(), "planner": 0.1})
+    assert direct.fingerprint() == loaded.fingerprint()
 
 
 def test_role_weights_classes():

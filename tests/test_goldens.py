@@ -26,10 +26,9 @@ After an intended change of results, rewrite the file with
 import gzip
 import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
-from conftest import bench_trace, simulated_llm_fixture
+from conftest import bench_trace, replace, simulated_llm_fixture
 from tracefault.baselines import FixtureAdapter
 from tracefault.benchgen import generate_benchmark
 from tracefault.cli import VALIDATION_PER_DOMAIN, VALIDATION_SEED

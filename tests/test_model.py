@@ -2,12 +2,12 @@
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import replace
 from tracefault import model
 from tracefault.errors import InvariantViolation, MalformedJson, SchemaViolation
 from tracefault.model import (
@@ -349,6 +349,28 @@ def test_direct_construction_validates():
     )
     assert Scenario(trace=trace, ground_truth=gt).trace is trace
     assert trace_to_obj(trace)["steps"][0]["step_id"] == 1
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("step_id", "step_id: expected <class 'int'>, got bool"),
+        ("confidence", "steps[1].confidence: expected number"),
+    ],
+    ids=["step_id", "confidence"],
+)
+def test_step_rejects_a_boolean_the_parser_would_not_read_back(field, message):
+    """A boolean ``step_id`` or ``confidence`` used to be accepted and
+    written as ``true``, which the parser then rejected. Now the record
+    rejects it with the parser's message, at the record's own path."""
+    fields = dict(step_id=1, agent="A", action_type="plan", input="", output="", timestamp="t")
+    obj = {"scenario_id": "s", "domain": "d", "agents": ["A"], "steps": [{**fields, field: True}]}
+    with pytest.raises(SchemaViolation) as parsed:
+        parse_trace_blind(json.dumps(obj))
+    with pytest.raises(SchemaViolation) as built:
+        Step(**{**fields, field: True})
+    assert str(built.value) == message
+    assert message.endswith(str(parsed.value).split(".", 1)[1])
 
 
 @pytest.mark.parametrize("annotated", [True, False], ids=["annotated", "blind"])

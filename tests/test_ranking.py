@@ -1,12 +1,12 @@
 """Scoring, ranking order, tie-breaks, and the worked examples."""
 
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import replace
 from tracefault.features import FeatureConfig
 from tracefault.model import parse_scenario
 from tracefault.ranking import (
