@@ -313,8 +313,9 @@ def test_config_validation():
 def test_role_names_must_be_lower_case():
     """``role_weight`` looks up the lower-cased agent name, so a weight under
     another case would be ignored without a word."""
-    with pytest.raises(ValueError, match="role weight for 'Planner': role names must be lower case"):
+    with pytest.raises(ValueError) as caught:
         FeatureConfig(role_weights={"Planner": 0.1})
+    assert str(caught.value) == "role weight for 'Planner': role names must be lower case"
     loaded = FeatureConfig.from_obj({"role_weights": {"Planner": 0.1}})
     assert loaded.role_weight("Planner") == 0.1
     direct = FeatureConfig(role_weights={**default_role_weights(), "planner": 0.1})
